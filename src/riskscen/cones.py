@@ -2,10 +2,11 @@
 
 A cone carries a generator form {G' lam : lam >= 0} (generators are rows of
 G), a polyhedral form {x : B x >= 0}, or both. Projection onto a finitely
-generated cone reduces to a positive-semidefinite LCP solved by Lemke's
-complementary pivoting; projection onto a polyhedral cone goes through the
-polar cone (generated by the negated facet rows) and the Moreau
-decomposition x = p_K(x) + p_polar(x).
+generated cone is one nonnegative least-squares problem (Lawson-Hanson
+NNLS, the only solver routine here); projection onto a polyhedral cone goes
+through the polar cone (generated by the negated facet rows) and the Moreau
+decomposition x = p_K(x) + p_polar(x); projection onto a polytope is a
+least-distance program, solved through the same NNLS.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from . import lp
 from .errors import ConfigError, SolverError
 
 MEMBER_TOL = 1e-9
-LEMKE_PIVOT_TOL = 1e-11
+NNLS_ENTER_TOL = 1e-12  # dual value, relative to |A| |b|, that lets a column enter
+NNLS_CERT_TOL = 1e-9  # KKT residual accepted by the certificate, same scale
 
 
 @dataclass(frozen=True)
@@ -211,136 +213,67 @@ def conic_hull(region: FeasibleRegion) -> Cone:
     return Cone(d, generators=np.eye(d), facets=np.eye(d))
 
 
-def _lemke(M: np.ndarray, q: np.ndarray, maxiter: int | None = None) -> np.ndarray:
-    """Solve the LCP w = q + M z, w,z >= 0, w'z = 0 for PSD M.
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||A lam - b|| subject to lam >= 0 (Lawson & Hanson 1974, ch. 23).
 
-    Covering-vector variant with lexicographic tie-breaking in the ratio
-    test, which prevents cycling under degeneracy. The basis system is
-    re-solved from scratch every pivot (revised form) because projection
-    LCPs with redundant generators make M rank-deficient, and an updated
-    tableau accumulates error fast enough there to produce spurious rays.
-    Returns z.
+    Active-set method: the column with the largest positive dual
+    w = A'(b - A lam) joins the passive set, least squares is solved on the
+    passive columns, and the step is cut back whenever a passive coefficient
+    would turn nonpositive. A column whose own coefficient comes out
+    nonpositive on entry (roundoff) is skipped until lam next moves. The
+    result is only returned once its KKT residuals certify it: lam >= 0,
+    w <= tol * |A| |b| and |lam'w| <= tol * |b|^2; otherwise SolverError.
     """
-    k = q.size
-    if k == 0:
-        return np.zeros(0)
-    if np.all(q >= 0):
-        return np.zeros(k)
-    if maxiter is None:
-        maxiter = 100 * k + 200
-    # Column j is: w_j for j < k, z_{j-k} for k <= j < 2k, the covering z0
-    # for j = 2k.
-    C = np.hstack([np.eye(k), -M, -np.ones((k, 1))])
-    basis = np.arange(k)
-    basis[int(np.argmin(q))] = 2 * k
-    entering = int(np.argmin(q)) + k  # complement of the w that just left
-    for _ in range(maxiter):
-        B = C[:, basis]
-        try:
-            sol = np.linalg.solve(B, np.column_stack([q, C[:, entering], np.eye(k)]))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("Lemke basis became singular") from exc
-        rhs = np.maximum(sol[:, 0], 0.0)  # clamp roundoff in a feasible basis
-        col = sol[:, 1]
-        binv = sol[:, 2:]
-        candidates = np.flatnonzero(col > LEMKE_PIVOT_TOL)
-        if candidates.size == 0:
-            raise SolverError("Lemke ray termination on a PSD system")
-        ratios = rhs[candidates] / col[candidates]
-        best = ratios.min()
-        tied = candidates[ratios <= best + LEMKE_PIVOT_TOL * (1.0 + abs(best))]
-        if tied.size > 1:
-            lex = binv[tied] / col[tied, None]
-            order = np.lexsort(lex.T[::-1])
-            leave = int(tied[order[0]])
-        else:
-            leave = int(tied[0])
-        exiting = basis[leave]
-        basis[leave] = entering
-        if exiting == 2 * k:
-            B = C[:, basis]
-            try:
-                vals = np.maximum(np.linalg.solve(B, q), 0.0)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("Lemke final basis is singular") from exc
-            z = np.zeros(k)
-            in_z = (basis >= k) & (basis < 2 * k)
-            z[basis[in_z] - k] = vals[in_z]
-            return z
-        entering = exiting + k if exiting < k else exiting - k
-    raise SolverError("Lemke iteration limit")
+    n = A.shape[1]
+    bnorm = float(np.linalg.norm(b))
+    scale = bnorm * float(np.linalg.norm(A, axis=0).max(initial=0.0))
+    lam = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    skipped = np.zeros(n, dtype=bool)
+    w = A.T @ b
+    for _ in range(3 * n):
+        free = ~passive & ~skipped & (w > NNLS_ENTER_TOL * scale)
+        if not free.any():
+            break
+        j = int(np.argmax(np.where(free, w, -np.inf)))
+        passive[j] = True
+        s = _passive_lstsq(A, b, passive)
+        if s[j] <= 0.0:
+            passive[j] = False
+            skipped[j] = True
+            continue
+        while np.any(s[passive] <= 0.0):
+            neg = passive & (s <= 0.0)
+            ratio = np.full(n, np.inf)
+            ratio[neg] = lam[neg] / (lam[neg] - s[neg])
+            k = int(np.argmin(ratio))
+            lam = lam + ratio[k] * (s - lam)
+            lam[k] = 0.0
+            passive &= lam > 0.0
+            lam[~passive] = 0.0
+            s = _passive_lstsq(A, b, passive)
+        lam = s
+        w = A.T @ (b - A @ lam)
+        skipped[:] = False
+    if (lam.min(initial=0.0) < 0.0 or w.max(initial=0.0) > NNLS_CERT_TOL * scale
+            or abs(float(lam @ w)) > NNLS_CERT_TOL * bnorm * bnorm):
+        raise SolverError("NNLS result failed its KKT certificate")
+    return lam
 
 
-def _lcp_descent(M: np.ndarray, q: np.ndarray, maxiter: int = 200_000) -> np.ndarray:
-    """Accelerated projected gradient on min 0.5 lam'M lam + q'lam, lam >= 0.
-
-    Fallback for the rare rank-deficient LCPs where finite-precision
-    complementary pivoting stalls on a spurious ray. Stops on the
-    complementarity residual, with a stagnation exit for the degenerate
-    tail (callers polish the active set afterwards).
-    """
-    k = q.size
-    L = max(float(np.linalg.eigvalsh(M)[-1]), 1e-30)
-    scale = 1.0 + float(np.abs(q).max())
-    lam = np.maximum(-q / max(np.diag(M).max(), 1e-30), 0.0)
-    v = lam.copy()
-    t = 1.0
-    f_prev = np.inf
-    f_mark = np.inf
-    best = lam
-    for it in range(maxiter):
-        grad = M @ v + q
-        lam_new = np.maximum(v - grad / L, 0.0)
-        f = 0.5 * lam_new @ M @ lam_new + q @ lam_new
-        if f > f_prev:  # restart momentum
-            v = lam_new.copy()
-            t = 1.0
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            v = lam_new + ((t - 1.0) / t_new) * (lam_new - lam)
-            t = t_new
-        lam = lam_new
-        if f < f_prev:
-            best = lam
-        f_prev = min(f_prev, f)
-        if it % 50 == 0:
-            w = M @ lam + q
-            if np.abs(np.minimum(lam, w)).max() <= 1e-10 * scale:
-                return lam
-        if it % 5000 == 4999:
-            if f_mark - f_prev <= 1e-16 * scale * scale:
-                return best
-            f_mark = f_prev
-    return best
-
-
-def solve_psd_lcp(M: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """z with M z + q >= 0, z >= 0, z'(Mz + q) = 0 for PSD M.
-
-    Lemke complementary pivoting first; a graded perturbation of q breaks
-    the degenerate ties that rank-deficient M produces (callers polish the
-    support afterwards, so the 1e-10-scale shift washes out); the convex-QP
-    descent is the last resort.
-    """
-    try:
-        return _lemke(M, q)
-    except SolverError:
-        pass
-    eps = 1e-10 * (1.0 + float(np.abs(q).max())) * np.arange(1, q.size + 1)
-    try:
-        return _lemke(M, q + eps)
-    except SolverError:
-        return _lcp_descent(M, q)
+def _passive_lstsq(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    s = np.zeros(A.shape[1])
+    s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+    return s
 
 
 class ConeProjector:
     """Reusable projection engine for one cone.
 
-    Precomputes the generator matrix (the cone's own, or the polar cone's
-    negated facet rows for the Moreau route) and its Gram matrix once, so
-    batch classification does not rebuild them per point. The LCP support
-    found by the solver is polished with one least-squares solve, which
-    pins the orthogonality residual (x0 - p)'p near machine precision.
+    Holds the generator matrix G once (the cone's own, or the polar cone's
+    negated facet rows for the Moreau route), so batch classification does
+    not rebuild it per point. The nearest point of cone{rows of G} to x0 is
+    G' nnls(G', x0).
     """
 
     def __init__(self, cone: Cone, prefer: str | None = None):
@@ -357,34 +290,20 @@ class ConeProjector:
             self.via_polar = True
             self.G = _clean_generators(-cone.facets)
         self.d = cone.d
-        self.M = self.G @ self.G.T
-
-    def _cone_point(self, x0: np.ndarray) -> np.ndarray:
-        """Nearest point of cone{rows of G} to x0."""
-        G = self.G
-        if G.shape[0] == 0:
-            return np.zeros(self.d)
-        lam = solve_psd_lcp(self.M, -G @ x0)
-        support = np.flatnonzero(lam > 0)
-        if support.size:
-            lam_s, *_ = np.linalg.lstsq(G[support].T, x0, rcond=None)
-            if np.all(lam_s >= -1e-9):
-                return G[support].T @ np.maximum(lam_s, 0.0)
-        return G.T @ lam
 
     def project(self, x0) -> np.ndarray:
         x0 = np.asarray(x0, dtype=float)
         if not np.all(np.isfinite(x0)):
             raise ConfigError("cannot project a non-finite point")
-        p = self._cone_point(x0)
+        p = self.G.T @ nnls(self.G.T, x0)
         return x0 - p if self.via_polar else p
 
 
 def project_generators(cone: Cone, x0) -> np.ndarray:
-    """Project x0 onto a finitely generated cone via the Lemke LCP.
+    """Project x0 onto a finitely generated cone.
 
-    With generators as rows of G, the nearest point is G' lam* where lam
-    solves the LCP with M = G G' and q = -G x0.
+    With generators as rows of G, the nearest point is G' lam* where
+    lam* = argmin ||G' lam - x0|| over lam >= 0.
     """
     return ConeProjector(cone, prefer="generators").project(x0)
 
@@ -394,7 +313,7 @@ def project_polyhedral(cone: Cone, x0) -> np.ndarray:
 
     The polar of the facet cone is generated by the negated facet rows, so
     p_K(x0) = x0 - p_polar(x0) by the Moreau decomposition. Reuses the same
-    Lemke core; no facet enumeration of the primal cone is ever needed.
+    NNLS core; no facet enumeration of the primal cone is ever needed.
     """
     return ConeProjector(cone, prefer="facets").project(x0)
 
@@ -414,30 +333,29 @@ def cone_member(cone: Cone, x, tol: float = MEMBER_TOL) -> bool:
     return bool(np.linalg.norm(x - project_generators(cone, x)) <= tol)
 
 
-def project_polytope(y, G: np.ndarray, h: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean projection onto {x : G x <= h} via the KKT LCP.
+def project_polytope(y, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x : G x <= h} as a least-distance program.
 
-    With multipliers lam, the projection is y - G' lam where lam solves the
-    LCP with M = G G' and q = h - G y (the same PSD class as cone
-    projection, so the same solver core applies). Equalities enter as
-    opposing row pairs. A least-squares polish on the active rows tightens
-    the result when it stays feasible.
+    With v = x - y the problem is min ||v|| s.t. -G v >= G y - h, which
+    Lawson & Hanson (ch. 23) solve with one NNLS: for E = [-G' ; (G y - h)']
+    and u = nnls(E, e_{d+1}), the residual r = E u - e_{d+1} gives
+    v = -r[:d] / r[d]. Equalities enter as opposing row pairs. An empty
+    polytope (r = 0) or a result outside it raises SolverError.
     """
     y = np.asarray(y, dtype=float)
-    q = h - G @ y
-    if np.all(q >= 0):
+    f = G @ y - h
+    if np.all(f <= 0.0):
         return y.copy()
-    M = G @ G.T if gram is None else gram
-    lam = solve_psd_lcp(M, q)
-    x = y - G.T @ lam
-    active = np.flatnonzero(lam > 1e-12)
-    if active.size:
-        Ga, ha = G[active], h[active]
-        shift = Ga @ y - ha
-        x_pol = y - Ga.T @ np.linalg.lstsq(Ga @ Ga.T, shift, rcond=None)[0]
-        scale = 1.0 + float(np.abs(h).max())
-        if np.all(G @ x_pol <= h + 1e-9 * scale):
-            return x_pol
+    d = y.size
+    E = np.vstack([-G.T, f])
+    e = np.zeros(d + 1)
+    e[d] = 1.0
+    r = E @ nnls(E, e) - e
+    if r[d] >= 0.0:
+        raise SolverError("polytope is empty")
+    x = y - r[:d] / r[d]
+    if np.any(G @ x > h + NNLS_CERT_TOL * (1.0 + np.abs(h).max())):
+        raise SolverError("polytope is empty or its projection failed")
     return x
 
 

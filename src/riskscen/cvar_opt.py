@@ -3,9 +3,10 @@
 Three solve paths share one problem object: the Rockafellar-Uryasev LP on a
 scenario set (embedded simplex), an exact solver for elliptical returns
 (the loss is ||P x|| X_1 - x'mu, so the true CVaR objective is convex and
-available in closed form), and a best-first branch-and-bound for
-cardinality-restricted supports. Discrete CVaR uses exact atom splitting at
-the beta-quantile.
+available in closed form; it is minimized by a 1-D search along the
+efficient frontier, each point one polytope projection), and a best-first
+branch-and-bound for cardinality-restricted supports. Discrete CVaR uses
+exact atom splitting at the beta-quantile.
 """
 
 from __future__ import annotations
@@ -101,20 +102,22 @@ class Solution:
         return json.dumps(doc)
 
 
+def _loss_var(losses: np.ndarray, probs: np.ndarray, beta: float) -> float:
+    """beta-quantile (VaR) of a weighted discrete loss vector."""
+    order = np.argsort(losses, kind="stable")
+    cum = np.cumsum(probs[order])
+    idx = min(int(np.searchsorted(cum, beta - 1e-12)), losses.size - 1)
+    return float(losses[order[idx]])
+
+
 def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
     """Exact beta-CVaR of the loss -x'y over a weighted discrete set.
 
     Splits the quantile atom: with V the beta-VaR,
     CVaR = (sum_{loss > V} p*loss + V*(P[loss <= V] - beta)) / (1 - beta).
     """
-    x = np.asarray(x, dtype=float)
-    losses = -(scenarios.points @ x)
-    order = np.argsort(losses, kind="stable")
-    sorted_losses = losses[order]
-    cum = np.cumsum(scenarios.probs[order])
-    idx = int(np.searchsorted(cum, beta - 1e-12))
-    idx = min(idx, sorted_losses.size - 1)
-    var = sorted_losses[idx]
+    losses = -(scenarios.points @ np.asarray(x, dtype=float))
+    var = _loss_var(losses, scenarios.probs, beta)
     gt = losses > var
     p_le = 1.0 - scenarios.probs[gt].sum()
     tail = float(scenarios.probs[gt] @ losses[gt])
@@ -124,10 +127,7 @@ def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
 def discrete_var(scenarios: ScenarioSet, x, beta: float) -> float:
     """beta-quantile of the discrete loss distribution."""
     losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    order = np.argsort(losses, kind="stable")
-    cum = np.cumsum(scenarios.probs[order])
-    idx = min(int(np.searchsorted(cum, beta - 1e-12)), losses.size - 1)
-    return float(losses[order][idx])
+    return _loss_var(losses, scenarios.probs, beta)
 
 
 def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> float:
@@ -219,49 +219,27 @@ def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
 # exact solver for elliptical returns
 
 
-def _project_budget_box(y, lower, upper, capital):
-    lo = float(np.min(y - upper)) - 1.0
-    hi = float(np.max(y - lower)) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(y - mid, lower, upper).sum() > capital:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(y - 0.5 * (lo + hi), lower, upper)
+def _feasible_rows(problem):
+    """The feasible polytope as {x : G x <= h}.
 
-
-def _feasible_projector(problem):
-    """Exact projection onto the feasible polytope.
-
-    Budget + box alone has a closed bisection projection; with extra rows
-    (quotas, the P1 return floor) the projection is a small PSD LCP solved
-    by the shared Lemke core, with the Gram matrix precomputed once.
+    Budget equality as an opposing row pair, the box, the region's rows and,
+    for P1, the return floor mu'x >= tau.
     """
     region = problem.region
     d = region.d
-    extra_rows = [(a, b) for a, b in zip(region.A, region.b)]
-    if problem.mode == P1:
-        extra_rows.append((-problem.mu, -problem.tau))
-    if not extra_rows:
-        return lambda y: _project_budget_box(y, region.lower, region.upper, region.capital)
-
     ones = np.ones(d)
-    G = np.vstack([[ones], [-ones], -np.eye(d), np.eye(d), [a for a, _ in extra_rows]])
-    h = np.concatenate([[region.capital], [-region.capital], -region.lower,
-                        region.upper, [b for _, b in extra_rows]])
-    gram = G @ G.T
-    return lambda y: project_polytope(y, G, h, gram=gram)
+    rows = [[ones], [-ones], -np.eye(d), np.eye(d), region.A]
+    rhs = [[region.capital], [-region.capital], -region.lower, region.upper, region.b]
+    if problem.mode == P1:
+        rows.append([-problem.mu])
+        rhs.append([-problem.tau])
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
     """A subgradient of x -> discrete beta-CVaR of -x'y, with atom splitting."""
-    x = np.asarray(x, dtype=float)
-    losses = -(scenarios.points @ x)
-    order = np.argsort(losses, kind="stable")
-    cum = np.cumsum(scenarios.probs[order])
-    idx = min(int(np.searchsorted(cum, beta - 1e-12)), losses.size - 1)
-    var = losses[order][idx]
+    losses = -(scenarios.points @ np.asarray(x, dtype=float))
+    var = _loss_var(losses, scenarios.probs, beta)
     weights = np.where(losses > var, scenarios.probs, 0.0)
     at_var = np.isclose(losses, var)
     residual = (1.0 - beta) - weights.sum()
@@ -297,8 +275,8 @@ def minimize_discrete_cvar(problem: PortfolioProblem, scenarios: ScenarioSet,
             g = g - (1.0 - lam) * problem.mu
         return g
 
-    proj = _feasible_projector(problem)
-    x = proj(np.full(region.d, region.capital / region.d))
+    G, h = _feasible_rows(problem)
+    x = project_polytope(np.full(region.d, region.capital / region.d), G, h)
     f_best, x_best = fval(x), x.copy()
     delta = 0.1 * (1.0 + abs(f_best))
     for it in range(max_iter):
@@ -308,81 +286,62 @@ def minimize_discrete_cvar(problem: PortfolioProblem, scenarios: ScenarioSet,
             f_best, x_best = f, x.copy()
         gg = float(g @ g)
         step = (f - (f_best - delta)) / gg if gg > 1e-300 else 0.0
-        x = proj(x - step * g)
+        x = project_polytope(x - step * g, G, h)
         if (it + 1) % 400 == 0:
             delta = max(delta * 0.7, 1e-12 * (1.0 + abs(f_best)))
     return _finish(problem, scenarios, x_best)
 
 
-def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution,
-                           max_iter: int = 100_000) -> Solution:
+def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:
     """Minimize the exact CVaR objective for elliptical returns.
 
-    Projected subgradient with Polyak-style target levels (the level gap is
-    tightened on a fixed schedule), then a monotone projected-gradient
-    polish. Stops once the best value improves by less than 1e-7 relative
-    over a 10^4-iteration window; hitting the iteration cap first is an
-    error.
+    The objective is weight * ||P x|| - mu'x, with P3's lambda folded into
+    the weight. With the frontier h(r) = min{||P x|| : x in X, mu'x >= r},
+    convex and nondecreasing, the optimum is the 1-D convex minimum of
+    weight * h(r) - r; each h(r) is one least-distance projection of the
+    origin in u = P x coordinates. The search brackets r between the return
+    of the minimum-risk portfolio (below it h is flat) and the LP maximum of
+    mu'x over X, and narrows the bracket by golden sections to a 1e-10
+    fraction of its width.
     """
     if problem.cardinality is not None:
         raise ConfigError("exact elliptical solver handles continuous problems only")
-    region = problem.region
-    P, mu = dist.factor, dist.mu
-    G = P.T @ P
+    P, mu = dist.factor, problem.mu
     weight = (1.0 if problem.mode == P1 else problem.lam) * dist.tail_cvar(problem.beta)
+    G, h = _feasible_rows(problem)
+    Gu = np.linalg.solve(P.T, G.T).T  # rows of G P^{-1}
+    Gr = np.vstack([Gu, np.linalg.solve(P.T, -mu)])
+    origin = np.zeros(problem.d)
 
-    def fval(x):
-        return weight * float(np.linalg.norm(P @ x)) - float(x @ problem.mu)
+    def objective(x):
+        return weight * float(np.linalg.norm(P @ x)) - float(x @ mu)
 
-    def grad(x):
-        nrm = float(np.linalg.norm(P @ x))
-        if nrm <= 1e-300:
-            return -problem.mu.copy()
-        return weight * (G @ x) / nrm - problem.mu
+    def frontier(r):
+        """(weight * h(r) - r, the portfolio attaining h(r))."""
+        u = project_polytope(origin, Gr, np.append(h, -r))
+        return weight * float(np.linalg.norm(u)) - r, np.linalg.solve(P, u)
 
-    proj = _feasible_projector(problem)
-    x = proj(np.full(region.d, region.capital / region.d))
-    f_best = fval(x)
-    x_best = x.copy()
-    delta = 0.1 * (1.0 + abs(f_best))
-    window = [f_best]  # f_best snapshots every 2000 iterations (10^4 window)
-    converged = False
-    it = 0
-    while it < max_iter:
-        g = grad(x)
-        f = fval(x)
-        if f < f_best:
-            f_best, x_best = f, x.copy()
-        gg = float(g @ g)
-        step = (f - (f_best - delta)) / gg if gg > 1e-300 else 0.0
-        x = proj(x - step * g)
-        it += 1
-        if it % 500 == 0:
-            delta = max(delta * 0.7, 1e-14 * (1.0 + abs(f_best)))
-        if it % 2000 == 0:
-            window.append(f_best)
-            if len(window) > 5 and window[-6] - f_best <= 1e-7 * max(1.0, abs(f_best)):
-                converged = True
-                break
+    x = np.linalg.solve(P, project_polytope(origin, Gu, h))
+    top = lp.solve(-mu, G, h, bounds=[(None, None)] * problem.d)
+    if top.status != "optimal":
+        raise SolverError(f"return-range LP ended {top.status}")
+    lo, hi = float(x @ mu), -top.objective
+    if hi - lo > 1e-12 * (1.0 + abs(hi)):
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        left, right = b - golden * (b - a), a + golden * (b - a)
+        f_left, f_right = frontier(left), frontier(right)
+        while b - a > 1e-10 * (hi - lo):
+            if f_left[0] <= f_right[0]:
+                b, right, f_right = right, left, f_left
+                left = b - golden * (b - a)
+                f_left = frontier(left)
+            else:
+                a, left, f_left = left, right, f_right
+                right = a + golden * (b - a)
+                f_right = frontier(right)
+        x = min((x, f_left[1], f_right[1]), key=objective)
 
-    # Monotone polish: the objective is smooth on the budget set (x != 0).
-    x = x_best.copy()
-    step = 1.0 / max(weight * np.linalg.norm(G, 2), 1e-12)
-    for _ in range(2000):
-        g = grad(x)
-        cand = proj(x - step * g)
-        f_cand = fval(cand)
-        if f_cand < f_best - 1e-16:
-            f_best, x_best = f_cand, cand.copy()
-            x = cand
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    if not converged and it >= max_iter:
-        raise SolverError("exact solver hit the iteration cap while still progressing")
-
-    x = x_best
     scale = float(np.linalg.norm(P @ x))
     cvar = scale * dist.tail_cvar(problem.beta) - float(x @ problem.mu)
     ret = float(x @ problem.mu)

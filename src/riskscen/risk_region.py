@@ -13,7 +13,6 @@ all non-risk scenarios of a set into their probability-weighted mean.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .cones import Cone, ConeProjector, transform
 from .distributions import EllipticalDistribution, ScenarioSet, spherical_quantile
 from .errors import ConfigError
 from .seeding import rng_from
-
-logger = logging.getLogger(__name__)
 
 BOUNDARY_TOL = 1e-9
 _ARCHIVE_CAP = 256
@@ -188,23 +185,3 @@ def estimate_nonrisk_prob(region: RiskRegion, n: int, seed: int, sampler=None) -
     mask = classify_mask(region, pts)
     return float((~mask).sum() / n)
 
-
-def check_aggregation_center(region: RiskRegion, scenarios: ScenarioSet) -> bool:
-    """Empirical check that the non-risk conditional mean is itself non-risk.
-
-    Consistency of aggregation sampling needs the aggregated point inside
-    the non-risk region; there is no constructive test, so violations are
-    only logged.
-    """
-    mask = classify_mask(region, scenarios.points)
-    if mask.all():
-        return True
-    pr = scenarios.probs
-    mass = float(pr[~mask].sum())
-    if mass <= 0:
-        return True
-    center = pr[~mask] @ scenarios.points[~mask] / mass
-    ok = not is_risk(region, center)
-    if not ok:
-        logger.warning("aggregated point fell inside the risk region")
-    return ok

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Nothing here may call the solver paths it checks: projections come from
-active-set enumeration, risk membership from dense directional grids, tail
-functions from scipy quadrature/bisection, and LP optima from grid search
-with a Nelder-Mead polish.
+active-set enumeration or scipy's NNLS, risk membership from dense
+directional grids, tail functions from scipy quadrature/bisection, LP optima
+from grid search with a Nelder-Mead polish, and exact elliptical optima from
+multi-start SLSQP.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def project_generators_oracle(G: np.ndarray, points: np.ndarray, tol: float = 1e
             best[better] = cand[better]
             best_dist[better] = dist[better]
     return best
+
+
+def project_polyhedral_nnls_oracle(B: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Projection onto {x : Bx >= 0} as x - p_polar(x), with scipy's NNLS on
+    the polar cone generated by the negated facet rows."""
+    At = -np.asarray(B, dtype=float).T
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.array([x - At @ optimize.nnls(At, x)[0] for x in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +224,36 @@ def simplex_cvar_oracle(points: np.ndarray, probs: np.ndarray, beta: float,
             val = float(res.fun)
             x0 = np.concatenate([res.x, [1.0 - res.x.sum()]])
     return val
+
+
+# ---------------------------------------------------------------------------
+# exact elliptical optimum oracle
+
+
+def elliptical_objective_oracle(P, mu, weight, capital, lower, upper, A=None, b=None,
+                                tau=None, starts: int = 5) -> tuple[float, np.ndarray]:
+    """min weight*||P x|| - mu'x over {1'x = capital, lower <= x <= upper,
+    A x <= b, mu'x >= tau}, by multi-start SLSQP from Dirichlet points."""
+    P = np.asarray(P, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    d = mu.size
+
+    def f(x):
+        return weight * np.linalg.norm(P @ x) - x @ mu
+
+    cons = [{"type": "eq", "fun": lambda x: x.sum() - capital}]
+    if A is not None and len(A):
+        cons.append({"type": "ineq", "fun": lambda x: b - A @ x})
+    if tau is not None:
+        cons.append({"type": "ineq", "fun": lambda x: x @ mu - tau})
+    rng = np.random.default_rng(0)
+    best = None
+    for _ in range(starts):
+        res = optimize.minimize(f, capital * rng.dirichlet(np.ones(d)), method="SLSQP",
+                                bounds=list(zip(lower, upper)), constraints=cons,
+                                options={"ftol": 1e-15, "maxiter": 2000})
+        if res.success and (best is None or res.fun < best.fun):
+            best = res
+    if best is None:
+        raise RuntimeError("SLSQP converged from no start")
+    return float(best.fun), best.x

@@ -64,7 +64,7 @@ def test_criterion_01_projection_correctness():
             oracle = project_generators_oracle(cone.generators, pts)
         worst = max(worst, float(np.abs(mine - oracle).max()))
     ok = worst < 1e-8 and worst_moreau < 1e-8
-    _finish(1, "Lemke projection vs active-set oracle", ok, t0, 30,
+    _finish(1, "cone projection vs active-set oracle", ok, t0, 30,
             f"max|p-oracle|={worst:.2e} max moreau residual={worst_moreau:.2e}")
 
 

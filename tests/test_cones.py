@@ -1,4 +1,4 @@
-"""Cone construction, Lemke projection, and the conic-hull formula."""
+"""Cone construction, NNLS cone and polytope projection, and the conic-hull formula."""
 
 import json
 
@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from oracles import project_generators_oracle, project_polyhedral_oracle
-from riskscen.cones import (Cone, FeasibleRegion, cone_member, conic_hull, project,
-                            project_generators, project_polyhedral, transform)
-from riskscen.errors import ConfigError
+from riskscen.cones import (Cone, FeasibleRegion, cone_member, conic_hull, nnls, project,
+                            project_generators, project_polyhedral, project_polytope, transform)
+from riskscen.errors import ConfigError, SolverError
 
 
 def orthant(d, form="both"):
@@ -147,6 +148,47 @@ class TestProjection:
             pts = rng.normal(size=(40, d)) * 2
             mine = np.array([project_generators(cone, y) for y in pts])
             assert np.abs(mine - project_generators_oracle(cone.generators, pts)).max() < 1e-8
+
+
+class TestNnls:
+    def test_matches_scipy_nnls(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 25))
+            A = rng.normal(size=(m, n))
+            b = rng.normal(size=m) * 3
+            lam = nnls(A, b)
+            assert lam.min() >= 0.0
+            ref = scipy_nnls(A, b)[0]
+            assert np.linalg.norm(A @ lam - b) <= np.linalg.norm(A @ ref - b) + 1e-10
+
+    def test_empty_column_set_and_zero_target(self):
+        assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+        assert np.array_equal(nnls(np.eye(3), np.zeros(3)), np.zeros(3))
+
+
+class TestProjectPolytope:
+    def test_kkt_on_random_polytopes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            G = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)), d))
+            h = G @ rng.normal(size=d) + rng.uniform(0.0, 1.0, size=G.shape[0])
+            y = rng.normal(size=d) * 4
+            x = project_polytope(y, G, h)
+            assert np.all(G @ x <= h + 1e-9)
+            active = G @ x >= h - 1e-8
+            if not active.any():
+                assert np.allclose(x, y)
+                continue
+            # y - x lies in the cone of the active rows (the normal cone at x)
+            res = scipy_nnls(G[active].T, y - x)[1]
+            assert res <= 1e-8 * (1.0 + np.linalg.norm(y - x))
+
+    def test_empty_polytope_raises(self):
+        G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(SolverError):
+            project_polytope(np.zeros(2), G, np.array([-1.0, -1.0]))
 
 
 class TestProjectionProperties:

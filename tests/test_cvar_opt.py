@@ -7,14 +7,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from oracles import simplex_cvar_oracle
+from oracles import elliptical_objective_oracle, simplex_cvar_oracle
 from riskscen.cones import FeasibleRegion, conic_hull
-from riskscen.cvar_opt import (Cardinality, PortfolioProblem, discrete_cvar, discrete_var,
+from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, discrete_cvar, discrete_var,
                                solve_cardinality, solve_exact_elliptical, solve_lp)
 from riskscen.distributions import EllipticalDistribution, ScenarioSet, fit_from_returns, sample
 from riskscen.errors import ConfigError
 from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.scenario_gen import aggregation_reduction
+from riskscen.synthetic import synthetic_returns
 
 
 def equal_losses(losses):
@@ -199,6 +200,21 @@ class TestSolveExact:
         scen = sample(dist, 1200, 8)
         lp_sol = solve_lp(problem, scen)
         assert lp_sol.cvar == pytest.approx(exact.cvar, rel=0.1)
+
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    def test_matches_slsqp_oracle_at_d10_quota(self, mode, lam):
+        _, returns = synthetic_returns(10, 240, 7, family="student-t")
+        dist = fit_from_returns(returns, "student-t", nu=4.0)
+        region = FeasibleRegion(10, 1.0, upper=np.full(10, 0.3))
+        problem = PortfolioProblem(region, 0.95, mu=dist.mu, mode=mode, lam=lam)
+        sol = solve_exact_elliptical(problem, dist)
+        weight = lam * dist.tail_cvar(0.95)  # P3 objective: lam*tail*||Px|| - mu'x
+        ref, _ = elliptical_objective_oracle(dist.factor, dist.mu, weight, 1.0, region.lower,
+                                             region.upper, tau=problem.tau)
+        assert sol.objective <= ref + 1e-9 * (1.0 + abs(sol.cvar))
+        assert region.contains(sol.x, tol=1e-9)
+        if mode == P1:
+            assert sol.x @ dist.mu >= problem.tau - 1e-9
 
     @pytest.mark.slow
     def test_agreement_with_large_sample_lp(self):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import cone_direction_grid, directional_risk_scores
-from riskscen.cones import FeasibleRegion, conic_hull
-from riskscen.distributions import EllipticalDistribution, ScenarioSet, sample
+from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
+from riskscen.cones import FeasibleRegion, conic_hull, project_polyhedral
+from riskscen.distributions import EllipticalDistribution, ScenarioSet, fit_from_returns, sample
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
                                   estimate_nonrisk_prob, is_risk)
+from riskscen.synthetic import skewed_scenarios
 
 
 def standard_region(beta=0.95, d=2, family="normal", nu=None):
@@ -48,6 +49,26 @@ class TestMembershipExamples:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             is_risk(standard_region(), [np.nan, 0.0])
+
+
+class TestGhostBoxProjection:
+    def test_d12_ghost_box_matches_nnls_oracle(self):
+        # the case-study shape: a t(4) surrogate of skewed d=12 scenarios and
+        # a [0, 0.35] ghost box on the budget set, so K' has 24 facets
+        scen = skewed_scenarios(12, 3000, 5)
+        dist = fit_from_returns(scen.points, "student-t", nu=4.0, weights=scen.probs)
+        cone = conic_hull(FeasibleRegion(12, 1.0).with_bounds(0.0, 0.35))
+        Y = dist.draw(np.random.default_rng(0), 3000)
+        region = RiskRegion(dist, cone, 0.95)
+        assert region.image_cone.facets.shape == (24, 12)
+        W = -region.spherical_coords(Y)
+        mine = np.array([project_polyhedral(region.image_cone, w) for w in W])
+        oracle = project_polyhedral_nnls_oracle(region.image_cone.facets, W)
+        assert np.abs(mine - oracle).max() < 1e-8
+        for beta in (0.95, 0.99):
+            region = RiskRegion(dist, cone, beta)
+            expected = np.linalg.norm(oracle, axis=1) >= region.threshold - 1e-9
+            assert np.array_equal(classify_mask(region, Y), expected)
 
 
 class TestOracleAgreement:
