@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .cones import Cone, FeasibleRegion, cone_member, conic_hull, project_generators, project_polyhedral
 from .cvar_opt import (Cardinality, PortfolioProblem, Solution, discrete_cvar,
-                       minimize_discrete_cvar, solve_cardinality, solve_exact_elliptical,
-                       solve_lp)
+                       solve_cardinality, solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                             fit_from_returns, load_scenarios, portfolio_loss_stats, sample,
                             save_scenarios, spherical_cvar, spherical_quantile)
@@ -22,7 +21,7 @@ __all__ = [
     "aggregate", "aggregation_reduction", "aggregation_sampling", "classify_batch",
     "cone_member", "conic_hull", "discrete_cvar", "estimate_gap", "estimate_nonrisk_prob",
     "expected_effective_sample_size", "fit_from_returns", "is_risk", "load_scenarios",
-    "minimize_discrete_cvar", "portfolio_loss_stats", "project_generators",
+    "portfolio_loss_stats", "project_generators",
     "project_polyhedral", "run_saa", "sample",
     "save_scenarios", "solve_cardinality", "solve_exact_elliptical", "solve_lp",
     "spherical_cvar", "spherical_quantile", "update_ghost_bounds",

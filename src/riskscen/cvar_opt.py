@@ -1,12 +1,20 @@
 """Scenario-based CVaR portfolio optimization.
 
-Three solve paths share one problem object: the Rockafellar-Uryasev LP on a
-scenario set (embedded simplex), an exact solver for elliptical returns
-(the loss is ||P x|| X_1 - x'mu, so the true CVaR objective is convex and
-available in closed form; it is minimized by a 1-D search along the
-efficient frontier, each point one polytope projection), and a best-first
-branch-and-bound for cardinality-restricted supports. Discrete CVaR uses
-exact atom splitting at the beta-quantile.
+Three solve paths share one problem object: Kelley's cutting-plane method
+on a scenario set, an exact solver for elliptical returns (the loss is
+||P x|| X_1 - x'mu, so the true CVaR objective is convex and available in
+closed form; it is minimized by a 1-D search along the efficient frontier,
+each point one polytope projection), and a best-first branch-and-bound for
+cardinality-restricted supports that runs the cutting-plane method in every
+node. Discrete CVaR uses exact atom splitting at the beta-quantile.
+
+The cutting-plane master LP lives on [x, t] only: the region rows, the
+budget, the box, the P1 return floor and the cuts t >= g'x. Discrete CVaR of
+-x'y is convex and positively homogeneous in x (Kuenzi-Bay & Mayer,
+Comput. Manag. Sci. 3 (2006)), so each subgradient g gives a cut with no
+intercept that holds at every x and in every branch-and-bound node. The
+master grows one row per cut and is re-solved warm (lp.Tableau.add_rows),
+so its size does not depend on the scenario count.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ P1 = "P1"  # min CVaR subject to a target expected return
 P3 = "P3"  # min lam*CVaR + (1-lam)*(-expected return)
 
 _TIE_BREAK = 1e-12
+GAP_TOL = 1e-9  # certified relative gap: best - bound <= GAP_TOL * (1 + |best|)
+_CUTS_PER_DIM = 100  # cap on new cuts in one certification: _CUTS_PER_DIM * (d + 1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class Solution:
     z: np.ndarray | None = None
     seed: int | None = None
     scenario_count: int | None = None
-    lp_objective: float | None = None  # raw optimum of the auxiliary LP, when one was solved
+    lp_objective: float | None = None  # certified lower bound of the cutting-plane master, when one ran
 
     def to_json(self) -> str:
         doc = {
@@ -139,52 +149,24 @@ def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> 
     return problem.lam * cvar + (1.0 - problem.lam) * (-ret)
 
 
-def _assemble_and_solve(problem, scenarios, upper=None, extra_row=None):
-    """Build and solve the auxiliary LP; returns the raw LpResult and x slice.
+def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
+    """A subgradient g of x -> discrete beta-CVaR of -x'y, with atom splitting.
 
-    Variables are [x (d), alpha (free), u_s (n >= 0)]. `upper` overrides the
-    x upper bounds (branch-and-bound fixings); `extra_row` is one additional
-    (coeffs_on_x, rhs) inequality.
+    g is -(w'Y)/(1-beta) for tail weights 0 <= w_i <= p_i summing to 1-beta:
+    p_i above the VaR, and the leftover mass spread over the scenarios whose
+    loss equals the VaR exactly. Such w is feasible in the dual of the CVaR
+    LP, so g'x' <= CVaR(x') for every x', with equality at x. Spreading over
+    near-ties instead could push a scenario above the VaR past its p_i.
     """
-    region = problem.region
-    d, n = region.d, scenarios.n
-    nvar = d + 1 + n
-    beta = problem.beta
-    c = np.zeros(nvar)
-    c[:d] = _TIE_BREAK * np.arange(1, d + 1)
-    scale = 1.0 if problem.mode == P1 else problem.lam
-    c[d] += scale
-    c[d + 1 :] += scale * scenarios.probs / (1.0 - beta)
-    if problem.mode == P3:
-        c[:d] -= (1.0 - problem.lam) * problem.mu
-
-    rows = [np.hstack([-scenarios.points, -np.ones((n, 1)), -np.eye(n)])]
-    rhs = [np.zeros(n)]
-    if region.m:
-        rows.append(np.hstack([region.A, np.zeros((region.m, 1 + n))]))
-        rhs.append(region.b)
-    if problem.mode == P1:
-        r = np.zeros(nvar)
-        r[:d] = -problem.mu
-        rows.append(r[None, :])
-        rhs.append(np.array([-problem.tau]))
-    if extra_row is not None:
-        coeffs, b = extra_row
-        r = np.zeros(nvar)
-        r[:d] = coeffs
-        rows.append(r[None, :])
-        rhs.append(np.array([b]))
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    A_eq = np.zeros((1, nvar))
-    A_eq[0, :d] = 1.0
-    b_eq = np.array([region.capital])
-
-    ub = region.upper if upper is None else np.minimum(region.upper, upper)
-    bounds = [(lo, hi) for lo, hi in zip(region.lower, ub)]
-    bounds.append((None, None))
-    bounds.extend([(0.0, None)] * n)
-    return lp.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    losses = -(scenarios.points @ np.asarray(x, dtype=float))
+    var = _loss_var(losses, scenarios.probs, beta)
+    weights = np.where(losses > var, scenarios.probs, 0.0)
+    at_var = losses == var
+    residual = (1.0 - beta) - weights.sum()
+    mass_at_var = scenarios.probs[at_var].sum()
+    if mass_at_var > 0 and residual > 0:
+        weights = weights + at_var * (scenarios.probs * residual / mass_at_var)
+    return -(weights @ scenarios.points) / (1.0 - beta)
 
 
 def _finish(problem, scenarios, x, z=None, lp_objective=None) -> Solution:
@@ -195,24 +177,129 @@ def _finish(problem, scenarios, x, z=None, lp_objective=None) -> Solution:
                     lp_objective=lp_objective)
 
 
-def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
-    """Rockafellar-Uryasev LP solve of the continuous problem.
+def _on_x(A, t_coeff: float = 0.0) -> np.ndarray:
+    """Rows over x as master rows over [x, t], with t_coeff on t."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return np.hstack([A, np.full((A.shape[0], 1), t_coeff)])
 
-    The reported CVaR is recomputed by discrete_cvar at the optimizer, which
-    agrees with the LP value to solver tolerance.
+
+@dataclass
+class _Node:
+    """A certified master: its best point, that point's value and the bound.
+
+    `have` lists the pool cuts already rows of `tableau`.
+    """
+
+    status: str
+    x: np.ndarray | None = None
+    value: float = np.inf
+    bound: float = -np.inf
+    tableau: lp.Tableau | None = None
+    have: set = None
+
+
+class _CuttingPlane:
+    """Kelley's cutting-plane method on the master LP over [x, t].
+
+    The master minimizes weight * t + lin'x, the objective with CVaR replaced
+    by t (lin carries P3's return term and the tie-break that picks the same
+    vertex among equal optima). Every cut enters one pool shared by all
+    masters built from this object.
+    """
+
+    def __init__(self, problem: PortfolioProblem, scenarios: ScenarioSet):
+        d = problem.d
+        self.problem, self.scenarios = problem, scenarios
+        self.weight = 1.0 if problem.mode == P1 else problem.lam
+        self.lin = _TIE_BREAK * np.arange(1, d + 1)
+        if problem.mode == P3:
+            self.lin = self.lin - (1.0 - problem.lam) * problem.mu
+        self.pool = np.zeros((0, d))
+        self.cap = _CUTS_PER_DIM * (d + 1)
+
+    def _add_cut(self, x) -> int:
+        g = cvar_subgradient(self.scenarios, x, self.problem.beta)
+        self.pool = np.vstack([self.pool, g])
+        return self.pool.shape[0] - 1
+
+    def root(self, upper, A=None, b=None) -> _Node:
+        """Certify the first master: box up to `upper`, extra rows A x <= b.
+
+        It is the one master solved from scratch by lp.solve, with a single
+        cut taken at the equal-weight portfolio (which need not be feasible).
+        """
+        problem, region = self.problem, self.problem.region
+        d = region.d
+        first = self._add_cut(np.full(d, region.capital / d))
+        rows, rhs = [region.A], [region.b]
+        if problem.mode == P1:
+            rows.append([-problem.mu])
+            rhs.append([-problem.tau])
+        if A is not None:
+            rows.append(A)
+            rhs.append(b)
+        res = lp.solve(np.append(self.lin, self.weight),
+                       np.vstack([_on_x(np.vstack(rows)), _on_x(self.pool[first], -1.0)]),
+                       np.append(np.concatenate(rhs), 0.0),
+                       _on_x(np.ones(d)), [region.capital],
+                       list(zip(region.lower, upper)) + [(None, None)])
+        if res.status == "unbounded":
+            raise SolverError("CVaR master LP is unbounded; the model is malformed")
+        return self.certify(res, {first})
+
+    def branch(self, node: _Node, A, b) -> _Node:
+        """Certify a copy of a certified master with the rows A x <= b added."""
+        res = node.tableau.copy().add_rows(_on_x(A), b)
+        return self.certify(res, set(node.have))
+
+    def certify(self, res: lp.LpResult, have: set) -> _Node:
+        """Add cuts until best - bound <= GAP_TOL (1 + |best|).
+
+        Each round first appends the pool cuts the master point violates;
+        when none does, it evaluates the objective there (every master
+        point is feasible) and, short of the gap, adds the cut at that point.
+        """
+        d = self.problem.d
+        best, x_best = np.inf, None
+        new = 0
+        while res.status == "optimal":
+            x, t, bound = res.x[:d], res.x[d], res.objective
+            out = np.array([k for k in range(self.pool.shape[0]) if k not in have], dtype=int)
+            violated = out[self.pool[out] @ x - t > GAP_TOL * (1.0 + abs(t))]
+            if violated.size:
+                have.update(int(k) for k in violated)
+                res = res.tableau.add_rows(_on_x(self.pool[violated], -1.0),
+                                           np.zeros(violated.size))
+                continue
+            value = (self.weight * discrete_cvar(self.scenarios, x, self.problem.beta)
+                     + float(self.lin @ x))
+            if value < best:
+                best, x_best = value, x
+            if best - bound <= GAP_TOL * (1.0 + abs(best)):
+                return _Node("optimal", x_best, best, bound, res.tableau, have)
+            if new == self.cap:
+                return _Node("iteration-limit")
+            k = self._add_cut(x)
+            have.add(k)
+            new += 1
+            res = res.tableau.add_rows(_on_x(self.pool[k], -1.0), [0.0])
+        return _Node(res.status)
+
+
+def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
+    """Cutting-plane solve of the continuous scenario problem.
+
+    Returns the best master point; its reported CVaR is discrete_cvar there,
+    and `lp_objective` is the master bound, within GAP_TOL of the objective.
     """
     if problem.cardinality is not None:
         raise ConfigError("use solve_cardinality for problems with a support limit")
     if scenarios.n == 0:
         raise ConfigError("scenario set is empty")
-    res = _assemble_and_solve(problem, scenarios)
-    if res.status == "infeasible":
-        return Solution(None, np.nan, np.nan, np.nan, "infeasible")
-    if res.status == "unbounded":
-        raise SolverError("CVaR LP is unbounded; the model is malformed")
-    if res.status != "optimal":
-        return Solution(None, np.nan, np.nan, np.nan, "iteration-limit")
-    return _finish(problem, scenarios, res.x[: problem.d], lp_objective=res.objective)
+    node = _CuttingPlane(problem, scenarios).root(problem.region.upper)
+    if node.status != "optimal":
+        return Solution(None, np.nan, np.nan, np.nan, node.status)
+    return _finish(problem, scenarios, node.x, lp_objective=node.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -234,62 +321,6 @@ def _feasible_rows(problem):
         rows.append([-problem.mu])
         rhs.append([-problem.tau])
     return np.vstack(rows), np.concatenate(rhs)
-
-
-def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
-    """A subgradient of x -> discrete beta-CVaR of -x'y, with atom splitting."""
-    losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    var = _loss_var(losses, scenarios.probs, beta)
-    weights = np.where(losses > var, scenarios.probs, 0.0)
-    at_var = np.isclose(losses, var)
-    residual = (1.0 - beta) - weights.sum()
-    mass_at_var = scenarios.probs[at_var].sum()
-    if mass_at_var > 0 and residual > 0:
-        weights = weights + at_var * (scenarios.probs * residual / mass_at_var)
-    return -(weights @ scenarios.points) / (1.0 - beta)
-
-
-def minimize_discrete_cvar(problem: PortfolioProblem, scenarios: ScenarioSet,
-                           max_iter: int = 20_000) -> Solution:
-    """Projected-subgradient minimizer of the scenario CVaR objective.
-
-    Reference solver for sets too large for the dense simplex (empirical
-    stability baselines): same feasible set as solve_lp, memory O(n d), no
-    LP assembly. Accuracy is step-rule limited, so prefer solve_lp whenever
-    the set fits.
-    """
-    if problem.cardinality is not None:
-        raise ConfigError("reference minimizer handles continuous problems only")
-    region = problem.region
-    lam = 1.0 if problem.mode == P1 else problem.lam
-
-    def fval(x):
-        cvar = discrete_cvar(scenarios, x, problem.beta)
-        if problem.mode == P1:
-            return cvar
-        return lam * cvar + (1.0 - lam) * (-float(x @ problem.mu))
-
-    def grad(x):
-        g = lam * cvar_subgradient(scenarios, x, problem.beta)
-        if problem.mode == P3:
-            g = g - (1.0 - lam) * problem.mu
-        return g
-
-    G, h = _feasible_rows(problem)
-    x = project_polytope(np.full(region.d, region.capital / region.d), G, h)
-    f_best, x_best = fval(x), x.copy()
-    delta = 0.1 * (1.0 + abs(f_best))
-    for it in range(max_iter):
-        g = grad(x)
-        f = fval(x)
-        if f < f_best:
-            f_best, x_best = f, x.copy()
-        gg = float(g @ g)
-        step = (f - (f_best - delta)) / gg if gg > 1e-300 else 0.0
-        x = project_polytope(x - step * g, G, h)
-        if (it + 1) % 400 == 0:
-            delta = max(delta * 0.7, 1e-12 * (1.0 + abs(f_best)))
-    return _finish(problem, scenarios, x_best)
 
 
 def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:
@@ -358,9 +389,14 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
     """Best-first branch-and-bound for the support-limited problem.
 
     Nodes fix assets in (z=0) or out (z=1); the relaxation keeps fractional
-    z implicitly through sum(x_j / cap_j) <= slots. Branches on the most
-    fractional ratio. The support-size constraint is implemented as <=; with
-    x_i <= u_i z_i and free z this has the same optimal value as equality.
+    z implicitly through sum(x_j / cap_j) <= slots over the free assets.
+    Branches on the most fractional ratio. The support-size constraint is
+    implemented as <=; with x_i <= u_i z_i and free z this has the same
+    optimal value as equality. A child is its parent's certified master plus
+    one row: x_j <= 0 for z0, its own slot row for z1 (the parent's stays,
+    implied by it); a slot row with no fewer slots than free assets is
+    redundant but valid. The node bound is the certified master bound; the
+    cut pool is shared by all nodes.
     """
     card = problem.cardinality
     if card is None:
@@ -373,23 +409,14 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
 
     base = PortfolioProblem(region, problem.beta, problem.mu, problem.mode,
                             problem.tau, problem.lam, None)
+    cutting = _CuttingPlane(base, scenarios)
 
-    def relax(z0: frozenset, z1: frozenset):
-        upper = caps.copy()
-        for j in z0:
-            upper[j] = 0.0
-        free = [j for j in range(d) if j not in z0 and j not in z1 and caps[j] > 1e-12]
-        slots = l - len(z1)
-        extra = None
-        if slots < len(free):
-            coeffs = np.zeros(d)
-            for j in free:
+    def slot_row(z0: frozenset, z1: frozenset):
+        coeffs = np.zeros(d)
+        for j in range(d):
+            if j not in z0 and j not in z1 and caps[j] > 1e-12:
                 coeffs[j] = 1.0 / caps[j]
-            extra = (coeffs, float(slots))
-        res = _assemble_and_solve(base, scenarios, upper=upper, extra_row=extra)
-        if res.status != "optimal":
-            return None, None
-        return res.objective, res.x[:d]
+        return coeffs, float(l - len(z1))
 
     def support_of(x):
         return frozenset(int(j) for j in np.flatnonzero(x > 1e-9))
@@ -400,52 +427,62 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
             z[j] = 1
         return z
 
+    def failed(node: _Node):
+        return Solution(None, np.nan, np.nan, np.nan, node.status)
+
     incumbent_val = np.inf
     incumbent: Solution | None = None
     counter = 0
     heap: list = []
-    solves = 0
 
-    root_bound, root_x = relax(frozenset(), frozenset())
-    if root_bound is None:
-        return Solution(None, np.nan, np.nan, np.nan, "infeasible")
-    solves += 1
+    coeffs, slots = slot_row(frozenset(), frozenset())
+    root = cutting.root(caps, [coeffs], [slots])
+    if root.status != "optimal":
+        return failed(root)
+    solves = 1
 
     # Greedy incumbent: restrict to the l largest relaxation positions.
-    order = np.argsort(-root_x / np.maximum(caps, 1e-12))
-    greedy_z1 = frozenset(int(j) for j in order[:l])
-    gval, gx = relax(frozenset(range(d)) - greedy_z1, greedy_z1)
+    order = np.argsort(-root.x / np.maximum(caps, 1e-12))
+    out = np.sort(order[l:])
+    greedy = cutting.branch(root, np.eye(d)[out], np.zeros(out.size)) if out.size else root
     solves += 1
-    if gval is not None:
-        incumbent_val = gval
-        incumbent = _finish(problem, scenarios, gx, z=z_vector(support_of(gx)), lp_objective=gval)
+    if greedy.status == "iteration-limit":
+        return failed(greedy)
+    if greedy.status == "optimal":
+        incumbent_val = greedy.value
+        incumbent = _finish(problem, scenarios, greedy.x, z=z_vector(support_of(greedy.x)),
+                            lp_objective=greedy.bound)
 
-    heapq.heappush(heap, (root_bound, counter, frozenset(), frozenset(), root_x))
+    heapq.heappush(heap, (root.bound, counter, frozenset(), frozenset(), root))
     while heap:
-        bound, _, z0, z1, x = heapq.heappop(heap)
+        bound, _, z0, z1, node = heapq.heappop(heap)
         if bound >= incumbent_val - 1e-9:
             break
+        x = node.x
         sup = support_of(x)
         chosen = z1 | sup
         if len(chosen) <= l:
-            if bound < incumbent_val:
-                incumbent_val = bound
+            if node.value < incumbent_val:
+                incumbent_val = node.value
                 incumbent = _finish(problem, scenarios, x, z=z_vector(chosen), lp_objective=bound)
             continue
         free = [j for j in sup if j not in z1]
         ratios = np.array([min(x[j] / caps[j], 1.0) for j in free])
         j_branch = free[int(np.argmax(np.minimum(ratios, 1.0 - ratios)))]
-        for child_z0, child_z1 in (((z0 | {j_branch}), z1), (z0, z1 | {j_branch})):
-            if len(child_z1) > l:
-                continue
-            val, cx = relax(child_z0, child_z1)
+        children = [(z0 | {j_branch}, z1, np.eye(d)[j_branch], 0.0)]
+        if len(z1) < l:
+            children.append((z0, z1 | {j_branch}, *slot_row(z0, z1 | {j_branch})))
+        for child_z0, child_z1, row, rhs in children:
+            child = cutting.branch(node, row, [rhs])
             solves += 1
             if solves > node_limit:
                 raise SolverError("branch-and-bound node limit exceeded")
-            if val is None or val >= incumbent_val - 1e-9:
+            if child.status == "iteration-limit":
+                return failed(child)
+            if child.status != "optimal" or child.bound >= incumbent_val - 1e-9:
                 continue
             counter += 1
-            heapq.heappush(heap, (val, counter, child_z0, child_z1, cx))
+            heapq.heappush(heap, (child.bound, counter, child_z0, child_z1, child))
 
     if incumbent is None:
         return Solution(None, np.nan, np.nan, np.nan, "infeasible")

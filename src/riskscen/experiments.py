@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import Cone, FeasibleRegion, conic_hull, project
 from .cvar_opt import (P1, Cardinality, PortfolioProblem, discrete_cvar,
-                       minimize_discrete_cvar, solve_exact_elliptical, solve_lp)
+                       solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution,
                             fit_from_returns, load_returns_csv, load_scenarios,
                             portfolio_loss_stats, sample)
@@ -260,7 +260,7 @@ def _stability_cell(spec):
     if universe is None:
         reference = sample(sampler, int(config.get("reference_n", 200_000)),
                            child_seed(seed, _T_STAB, trial, d, 10**6))
-        truth = minimize_discrete_cvar(problem, reference)
+        truth = solve_lp(problem, reference)
 
         def true_gap(x):
             return discrete_cvar(reference, x, beta) - truth.cvar

@@ -1,11 +1,18 @@
-"""Dense two-phase simplex solver.
+"""Dense two-phase simplex solver with warm re-solves after appended rows.
 
-Scenario CVaR programs at desk scale stay small (a few thousand rows), so a
-dense tableau simplex with an explicit basis is enough and keeps the package
-dependency-free. Entering variable: most negative reduced cost, ratio ties
-broken by largest pivot element; after a sustained run of degenerate pivots
-(10x the row count) the solver falls back to Bland's rule, which cannot
-cycle.
+The LPs solved here stay small: cutting-plane master problems over the
+portfolio weights plus one epigraph variable, and feasibility probes of
+portfolio constraint systems. A dense tableau simplex with an explicit basis
+is enough and keeps the package dependency-free. Entering variable: most
+negative reduced cost, ratio ties broken by largest pivot element; after a
+sustained run of degenerate pivots (10x the row count) the solver falls back
+to Bland's rule, which cannot cycle.
+
+An optimal `solve` returns its final tableau. `Tableau.add_rows` appends
+inequality rows to it and re-optimizes by the dual simplex: the old basis
+plus the new rows' slacks keeps every reduced cost nonnegative, so a few
+dual pivots restore primal feasibility where a fresh solve would repeat
+phase 1.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ from .errors import SolverError
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
+# The dual simplex stops once every basic value is >= -DUAL_STOP_TOL. Far
+# tighter than FEAS_TOL: a primal pivot keeps values >= 0 up to rounding, and
+# a warm re-solve should leave points that satisfy their bounds as closely.
+DUAL_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -26,6 +37,7 @@ class LpResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    tableau: Tableau | None = None  # the optimal tableau, for Tableau.add_rows
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -79,6 +91,119 @@ def _run_simplex(T, basis, c, maxiter, bland_after):
     return "iteration-limit", maxiter
 
 
+def _run_dual_simplex(T, basis, c, maxiter, bland_after):
+    """Dual-simplex pivots on a dual-feasible tableau until the rhs is >= 0.
+
+    Leaving row: most negative rhs; entering column: smallest ratio of
+    reduced cost to |row entry|, ties broken by the largest |pivot|. A run of
+    degenerate pivots switches both choices to Bland's lowest index. Stops
+    when every basic value is >= -DUAL_STOP_TOL; a row below -FEAS_TOL with
+    no negative entry proves the LP infeasible, one above it is rounding and
+    is left until the next pivot.
+    """
+    m, n1 = T.shape
+    n = n1 - 1
+    degen_run = 0
+    bland = False
+    stuck = np.zeros(m, dtype=bool)
+    for it in range(maxiter):
+        rhs = np.where(stuck, 0.0, T[:, n])
+        if bland:
+            neg = np.flatnonzero(rhs < -DUAL_STOP_TOL)
+            if neg.size == 0:
+                return "optimal", it
+            leave = int(neg[np.argmin(basis[neg])])
+        else:
+            leave = int(np.argmin(rhs))
+            if rhs[leave] >= -DUAL_STOP_TOL:
+                return "optimal", it
+        row = T[leave, :n]
+        cand = row < -FEAS_TOL
+        if not cand.any():
+            if rhs[leave] < -FEAS_TOL:
+                return "infeasible", it
+            stuck[leave] = True
+            continue
+        r = c - c[basis] @ T[:, :n]
+        ratios = np.full(n, np.inf)
+        ratios[cand] = np.maximum(r[cand], 0.0) / -row[cand]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + OPT_TOL * (1.0 + abs(best)))
+        enter = int(ties[0]) if bland else int(ties[np.argmin(row[ties])])
+        if best <= OPT_TOL:
+            degen_run += 1
+            if degen_run > bland_after:
+                bland = True
+        else:
+            degen_run = 0
+            bland = False
+        _pivot(T, leave, enter)
+        basis[leave] = enter
+        stuck[:] = False
+    return "iteration-limit", maxiter
+
+
+class Tableau:
+    """The optimal tableau of a `solve`, kept to re-optimize after new rows.
+
+    T is [structural columns | slacks | rhs] with T[:, basis] = I; the
+    original variables are x = offset + S @ y over the structural columns y.
+    `add_rows` changes the tableau in place; `copy` branches it.
+    """
+
+    def __init__(self, T, basis, c, S, offset):
+        self.T = T
+        self.basis = basis
+        self.c = c  # objective on the original variables
+        self.S = S
+        self.offset = offset
+
+    def copy(self) -> Tableau:
+        return Tableau(self.T.copy(), self.basis.copy(), self.c, self.S, self.offset)
+
+    def result(self, iterations: int) -> LpResult:
+        y = np.zeros(self.T.shape[1] - 1)
+        y[self.basis] = self.T[:, -1]
+        x = self.offset + self.S @ y[: self.S.shape[1]]
+        return LpResult("optimal", x, float(self.c @ x), iterations, self)
+
+    def add_rows(self, A, b) -> LpResult:
+        """Append the rows A x <= b (original variables) and re-optimize.
+
+        Each new row gets a basic slack, expressed in the current basis; its
+        value may be negative, which the dual simplex repairs. An infeasible
+        or unfinished re-solve leaves the tableau unusable.
+        """
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        k = A.shape[0]
+        m, n1 = self.T.shape
+        n = n1 - 1
+        T = np.zeros((m + k, n + k + 1))
+        T[:m, :n] = self.T[:, :n]
+        T[:m, -1] = self.T[:, -1]
+        new = T[m:]
+        new[:, : self.S.shape[1]] = A @ self.S
+        new[:, n : n + k] = np.eye(k)
+        new[:, -1] = b - A @ self.offset
+        new -= new[:, self.basis] @ T[:m]
+        basis = np.concatenate([self.basis, np.arange(n, n + k)])
+        cost = np.zeros(n + k)
+        cost[: self.S.shape[1]] = self.c @ self.S
+        maxiter = 10000 + 25 * (m + k + n)
+        bland_after = 10 * (m + k)
+        status, it1 = _run_dual_simplex(T, basis, cost, maxiter, bland_after)
+        it2 = 0
+        if status == "optimal":
+            # Ratio ties within tolerance can leave a reduced cost slightly
+            # negative; primal pivots clean it up (usually none).
+            status, it2 = _run_simplex(T, basis, cost, maxiter, bland_after)
+        self.T, self.basis = T, basis
+        if status != "optimal":
+            return LpResult(status, None, None, it1 + it2)
+        return self.result(it1 + it2)
+
+
 def solve(
     c,
     A_ub=None,
@@ -106,52 +231,32 @@ def solve(
         raise ValueError("bounds length must match the number of variables")
 
     # Rewrite every variable as a nonnegative one: shift finite lower bounds,
-    # mirror (-inf, hi] variables, split free ones. cols[j] = list of
-    # (shifted column index, sign); offset[j] restores the original value.
+    # mirror (-inf, hi] variables, split free ones. x = offset + S @ y over
+    # the shifted columns y >= 0.
     lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in bounds])
     hi = np.array([np.inf if b[1] is None else float(b[1]) for b in bounds])
     if np.any(lo > hi):
         return LpResult("infeasible", None, None, 0)
 
-    col_of = []
-    offsets = []
-    signs = []
-    split_extra = []
-    ncols = 0
+    free = ~np.isfinite(lo) & ~np.isfinite(hi)
+    ncols = nvar + int(free.sum())
+    S = np.zeros((nvar, ncols))
+    offset = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     ub_rows = []  # (col index, residual upper bound)
+    col = 0
     for j in range(nvar):
-        if np.isfinite(lo[j]):
-            col_of.append(ncols)
-            offsets.append(lo[j])
-            signs.append(1.0)
-            if np.isfinite(hi[j]):
-                ub_rows.append((ncols, hi[j] - lo[j]))
-            ncols += 1
-        elif np.isfinite(hi[j]):
-            col_of.append(ncols)
-            offsets.append(hi[j])
-            signs.append(-1.0)
-            ncols += 1
-        else:
-            col_of.append(ncols)
-            offsets.append(0.0)
-            signs.append(1.0)
-            split_extra.append((j, ncols + 1))
-            ncols += 2
+        S[j, col] = 1.0 if np.isfinite(lo[j]) or free[j] else -1.0
+        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+            ub_rows.append((col, hi[j] - lo[j]))
+        if free[j]:
+            col += 1
+            S[j, col] = -1.0
+        col += 1
 
-    def expand(A):
-        out = np.zeros((A.shape[0], ncols))
-        for j in range(nvar):
-            out[:, col_of[j]] = signs[j] * A[:, j]
-        for j, extra in split_extra:
-            out[:, extra] = -A[:, j]
-        return out
-
-    offset_vec = np.asarray(offsets)
-    Aub_x = expand(A_ub)
-    bub_x = b_ub - A_ub @ offset_vec
-    Aeq_x = expand(A_eq)
-    beq_x = b_eq - A_eq @ offset_vec
+    Aub_x = A_ub @ S
+    bub_x = b_ub - A_ub @ offset
+    Aeq_x = A_eq @ S
+    beq_x = b_eq - A_eq @ offset
     if ub_rows:
         extra = np.zeros((len(ub_rows), ncols))
         extra_b = np.zeros(len(ub_rows))
@@ -164,11 +269,6 @@ def solve(
     m_ub, m_eq = Aub_x.shape[0], Aeq_x.shape[0]
     m = m_ub + m_eq
     nslack = m_ub
-    c_x = np.zeros(ncols)
-    for j in range(nvar):
-        c_x[col_of[j]] += signs[j] * c[j]
-    for j, extra in split_extra:
-        c_x[extra] -= c[j]
 
     # Rows: [A_ub | slack I] then [A_eq | 0]; flip rows to rhs >= 0.
     A = np.zeros((m, ncols + nslack))
@@ -233,18 +333,12 @@ def solve(
         m = T.shape[0]
     T = np.hstack([T[:, : ncols + nslack], T[:, [ntot]]])
 
-    c2 = np.concatenate([c_x, np.zeros(nslack)])
+    c2 = np.concatenate([c @ S, np.zeros(nslack)])
     status, it2 = _run_simplex(T, basis, c2, maxiter, bland_after)
     iters += it2
     if status != "optimal":
         return LpResult(status, None, None, iters)
-
-    full = np.zeros(ncols + nslack)
-    full[basis] = T[:, -1]
-    x = offset_vec + np.array([signs[j] * full[col_of[j]] for j in range(nvar)])
-    for j, extra in split_extra:
-        x[j] -= full[extra]
-    return LpResult("optimal", x, float(c @ x), iters)
+    return Tableau(T, basis, c, S, offset).result(iters)
 
 
 def find_feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):

@@ -125,8 +125,10 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
 
     l = max(xbar - z sigma/sqrt(M), 0) and u = min(xbar + z sigma/sqrt(M),
     quota), then intersected with the incoming bounds so ghost boxes only
-    shrink. If the box kills feasibility the level is widened once
-    (alpha <- (1+alpha)/2); a second failure is an error.
+    shrink. Replication solutions that agree to rounding collapse the box,
+    and the intersection can then cross (l > u) by rounding; crossings up to
+    1e-12 are closed at u. If the box kills feasibility the level is widened
+    once (alpha <- (1+alpha)/2); a second failure is an error.
     """
     X = np.atleast_2d(np.asarray(solutions, dtype=float))
     m = X.shape[0]
@@ -138,6 +140,7 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
         u = np.minimum(xbar + z * sigma / np.sqrt(m), region.upper)
         l = np.maximum(l, np.maximum(lower, region.lower))
         u = np.minimum(u, np.minimum(upper, region.upper))
+        l = np.where(l - u <= 1e-12, np.minimum(l, u), l)
         if _bounds_feasible(region, l, u, cardinality):
             return l, u
         alpha = (1.0 + alpha) / 2.0
@@ -230,7 +233,7 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
         if gaps[best] <= config.gap_tol and half[best] <= config.var_tol:
             break
         n += config.dn
-        if config.mode == AGGREGATION_GHOST:
+        if config.mode == AGGREGATION_GHOST and it + 1 < config.max_iterations:
             lower, upper = update_ghost_bounds(xs, config.alpha_ghost, region0,
                                                lower, upper, problem.cardinality)
 

@@ -3,8 +3,9 @@
 Nothing here may call the solver paths it checks: projections come from
 active-set enumeration or scipy's NNLS, risk membership from dense
 directional grids, tail functions from scipy quadrature/bisection, LP optima
-from grid search with a Nelder-Mead polish, and exact elliptical optima from
-multi-start SLSQP.
+from grid search with a Nelder-Mead polish or from the full
+Rockafellar-Uryasev LP solved sparse by HiGHS, and exact elliptical optima
+from multi-start SLSQP.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import integrate, optimize
 
 
@@ -224,6 +226,36 @@ def simplex_cvar_oracle(points: np.ndarray, probs: np.ndarray, beta: float,
             val = float(res.fun)
             x0 = np.concatenate([res.x, [1.0 - res.x.sum()]])
     return val
+
+
+def ru_lp_oracle(points, probs, beta, lower, upper, mu, tau=None, lam=1.0,
+                 capital=1.0) -> float | None:
+    """Optimum of the Rockafellar-Uryasev LP by scipy's HiGHS, or None if infeasible.
+
+    min lam*CVaR - (1-lam)*mu'x over {1'x = capital, lower <= x <= upper}
+    and, with tau given, mu'x >= tau; columns [x (d), alpha, u (n)] with
+    u_s >= -y_s'x - alpha. Tolerances are tightened to 1e-10.
+    """
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    c = np.concatenate([-(1.0 - lam) * np.asarray(mu, dtype=float), [lam],
+                        lam * np.asarray(probs) / (1.0 - beta)])
+    A_ub = sp.hstack([sp.csr_matrix(-points), -np.ones((n, 1)), -sp.eye(n)], format="csr")
+    b_ub = np.zeros(n)
+    if tau is not None:
+        A_ub = sp.vstack([A_ub, sp.csr_matrix(np.concatenate([-mu, np.zeros(n + 1)])[None, :])],
+                         format="csr")
+        b_ub = np.append(b_ub, -tau)
+    A_eq = sp.csr_matrix(np.concatenate([np.ones(d), np.zeros(n + 1)])[None, :])
+    bounds = list(zip(lower, upper)) + [(None, None)] + [(0, None)] * n
+    res = optimize.linprog(c, A_ub, b_ub, A_eq, [capital], bounds, method="highs",
+                           options={"primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS ended with status {res.status}: {res.message}")
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

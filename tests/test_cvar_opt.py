@@ -5,16 +5,19 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import elliptical_objective_oracle, simplex_cvar_oracle
+from oracles import elliptical_objective_oracle, ru_lp_oracle, simplex_cvar_oracle
 from riskscen.cones import FeasibleRegion, conic_hull
-from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, discrete_cvar, discrete_var,
-                               solve_cardinality, solve_exact_elliptical, solve_lp)
+from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, cvar_subgradient,
+                               discrete_cvar, discrete_var, solve_cardinality,
+                               solve_exact_elliptical, solve_lp)
 from riskscen.distributions import EllipticalDistribution, ScenarioSet, fit_from_returns, sample
 from riskscen.errors import ConfigError
 from riskscen.risk_region import RiskRegion, classify_mask
-from riskscen.scenario_gen import aggregation_reduction
+from riskscen.scenario_gen import aggregation_reduction, aggregation_sampling
 from riskscen.synthetic import synthetic_returns
 
 
@@ -48,6 +51,48 @@ class TestDiscreteCvar:
     def test_var_atom(self):
         scen = equal_losses(range(1, 11))
         assert discrete_var(scen, [1.0], 0.9) == pytest.approx(9.0)
+
+
+@st.composite
+def tied_scenario_sets(draw):
+    """Small integer scenario sets, some losses nudged by 5e-9 (a near-tie that
+    np.isclose would merge), an integer point x where ties are exact, and an
+    arbitrary second point."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 16))
+    rows = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    pts = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+    pts[:, 0] += draw(st.lists(st.sampled_from([0.0, 5e-9, -5e-9]), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    x = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), dtype=float)
+    other = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    beta = draw(st.floats(0.05, 0.95))
+    return ScenarioSet(pts, w / w.sum()), x, other, beta
+
+
+class TestCvarSubgradient:
+    def test_near_tie_above_var_keeps_its_probability(self):
+        # Losses on asset 1: 5, 3+5e-9, 3 and seventeen zeros; the near-tie
+        # scenario also loses 10 on asset 2. Spreading the leftover tail mass
+        # over near-ties gave that scenario weight 0.06 > p = 0.05, and the
+        # cut read 5.0 at (0, 1), where the CVaR is 4.1667.
+        pts = np.zeros((20, 2))
+        pts[:3, 0] = [-5.0, -(3.0 + 5e-9), -3.0]
+        pts[1, 1] = -10.0
+        scen = ScenarioSet.equally_weighted(pts)
+        g = cvar_subgradient(scen, [1.0, 0.0], 0.88)
+        assert g @ [0.0, 1.0] <= discrete_cvar(scen, [0.0, 1.0], 0.88) + 1e-12
+        assert g @ [1.0, 0.0] == pytest.approx(discrete_cvar(scen, [1.0, 0.0], 0.88), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scenario_sets())
+    def test_cut_is_valid_everywhere_and_tight_at_its_point(self, case):
+        scen, x, other, beta = case
+        g = cvar_subgradient(scen, x, beta)
+        cvar_other = discrete_cvar(scen, other, beta)
+        assert g @ other <= cvar_other + 1e-12 * (1.0 + abs(cvar_other))
+        cvar = discrete_cvar(scen, x, beta)
+        assert g @ x == pytest.approx(cvar, abs=1e-12 * (1.0 + abs(cvar)))
 
 
 class TestProblemValidation:
@@ -164,6 +209,38 @@ class TestSolveLp:
         assert reduced.n < scen.n
         sol_red = solve_lp(problem, reduced)
         assert sol_red.lp_objective == pytest.approx(sol.lp_objective, abs=1e-7)
+
+
+@pytest.fixture(scope="module")
+def d10_market():
+    """The t(4) fit used by the experiments at d=10 with a 0.3 quota, and two
+    600-risk-scenario sets: a plain sample and an aggregation sample."""
+    _, returns = synthetic_returns(10, 240, 7, family="student-t")
+    dist = fit_from_returns(returns, "student-t", nu=4.0)
+    region = FeasibleRegion(10, 1.0, upper=np.full(10, 0.3))
+    rr = RiskRegion(dist, conic_hull(region), 0.95)
+    sets = {"equal": sample(dist, 600, 31),
+            "aggregated": aggregation_sampling(rr, dist, 600, 32).scenarios}
+    return dist, region, sets
+
+
+class TestSolveLpOracle:
+    @pytest.mark.parametrize("weights", ["equal", "aggregated"])
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    def test_matches_highs_ru_lp_at_d10_quota(self, d10_market, weights, mode, lam):
+        dist, region, sets = d10_market
+        scen = sets[weights]
+        problem = PortfolioProblem(region, 0.95, mu=dist.mu, mode=mode, lam=lam)
+        sol = solve_lp(problem, scen)
+        ref = ru_lp_oracle(scen.points, scen.probs, 0.95, region.lower, region.upper, dist.mu,
+                           tau=problem.tau if mode == P1 else None, lam=lam)
+        tol = 1e-9 * (1.0 + abs(ref))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref, abs=tol)
+        assert sol.lp_objective == pytest.approx(ref, abs=tol)
+        assert region.contains(sol.x, tol=1e-9)
+        if mode == P1:
+            assert sol.x @ dist.mu >= problem.tau - 1e-9
 
 
 class TestSolveExact:
@@ -296,6 +373,37 @@ class TestCardinality:
         singles = [discrete_cvar(scen, np.eye(d)[j], 0.9) for j in range(d)]
         assert sol.objective == pytest.approx(min(singles), abs=1e-9)
         assert sol.x[int(np.argmin(singles))] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.9)])
+    def test_matches_enumeration_in_ghost_box(self, mode, lam):
+        # A ghost-style box: one asset forced in by a positive lower bound,
+        # uneven upper bounds below the budget.
+        rng = np.random.default_rng(41)
+        d, n, l = 8, 200, 3
+        mu = rng.uniform(0.005, 0.02, size=d)
+        scen = ScenarioSet.equally_weighted(
+            mu + rng.standard_t(4, size=(n, d)) * rng.uniform(0.03, 0.08, size=d))
+        lower = np.zeros(d)
+        lower[2] = 0.05
+        upper = np.array([0.5, 0.45, 0.6, 0.4, 0.5, 0.35, 0.55, 0.5])
+        region = FeasibleRegion(d, 1.0, lower=lower, upper=upper)
+        problem = PortfolioProblem(region, 0.95, mu=mu, mode=mode, lam=lam,
+                                   cardinality=Cardinality(l))
+        sol = solve_cardinality(problem, scen)
+        values = []
+        for support in itertools.combinations(range(d), l):
+            inside = np.isin(np.arange(d), support)
+            if np.any(lower[~inside] > 0):
+                continue
+            val = ru_lp_oracle(scen.points, scen.probs, 0.95, lower, np.where(inside, upper, 0.0),
+                               mu, tau=problem.tau if mode == P1 else None, lam=lam)
+            if val is not None:
+                values.append(val)
+        best = min(values)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
+        assert np.count_nonzero(np.abs(sol.x) > 1e-9) <= l
+        assert region.contains(sol.x, tol=1e-9)
 
     def test_infeasible_when_caps_cannot_reach_budget(self):
         problem = PortfolioProblem(

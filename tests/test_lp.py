@@ -93,3 +93,68 @@ def test_feasible_point_probe():
     assert x is not None and abs(x.sum() - 1.0) < 1e-9
     assert lp.find_feasible_point(A_eq=[[1.0, 1.0]], b_eq=[2.5],
                                   bounds=[(0, 1), (0, 1)]) is None
+
+
+def _random_master(rng):
+    """A feasible, bounded LP shaped like a cutting-plane master: a box on x,
+    a budget row, random rows through an interior point, and a free epigraph
+    variable t (last) with positive cost and one cut t >= g'x."""
+    n = int(rng.integers(2, 7))
+    x0 = rng.uniform(0.2, 0.8, size=n)
+    bounds = [(0.0, 1.0)] * n + [(None, None)]
+    c = np.append(rng.normal(size=n) * 0.1, 1.0)
+    rows = rng.normal(size=(int(rng.integers(0, 4)), n))
+    A_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]),
+                      np.append(rng.normal(size=n), -1.0)])
+    b_ub = np.append(rows @ x0 + rng.uniform(0.0, 0.3, size=rows.shape[0]), 0.0)
+    A_eq = np.append(np.ones(n), 0.0)[None, :]
+    return c, A_ub, b_ub, A_eq, np.array([x0.sum()]), bounds
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_appended_rows_match_scipy(trial):
+    rng = np.random.default_rng(3000 + trial)
+    c, A_ub, b_ub, A_eq, b_eq, bounds = _random_master(rng)
+    res = lp.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    assert res.status == "optimal"
+    n = c.size - 1
+    branch = (res.tableau.copy(), A_ub, b_ub)
+    for step in range(6):
+        if step % 2:  # a cut t >= g'x
+            rows = np.append(rng.normal(size=n), -1.0)[None, :]
+            rhs = np.zeros(1)
+        else:  # rows on x through a random box point, often cutting off the optimum
+            rows = np.hstack([rng.normal(size=(2, n)), np.zeros((2, 1))])
+            rhs = rows[:, :n] @ rng.uniform(0.0, 1.0, size=n) + 0.05
+        A_ub, b_ub = np.vstack([A_ub, rows]), np.concatenate([b_ub, rhs])
+        res = res.tableau.add_rows(rows, rhs)
+        ref = linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs")
+        if ref.status == 2:
+            assert res.status == "infeasible"
+            break
+        assert ref.status == 0
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+        assert np.all(A_ub @ res.x <= b_ub + 1e-9)
+        assert np.allclose(A_eq @ res.x, b_eq, atol=1e-9)
+        assert np.all((res.x[:n] >= -1e-12) & (res.x[:n] <= 1.0 + 1e-12))
+    # a copy of the first tableau re-solves as its own LP, untouched by later rows
+    tab, A_b, b_b = branch
+    row = np.append(np.eye(n)[0], 0.0)[None, :]
+    mine = tab.add_rows(row, [0.0])
+    ref = linprog(c, np.vstack([A_b, row]), np.append(b_b, 0.0), A_eq, b_eq, bounds, method="highs")
+    if ref.status == 0:
+        assert mine.status == "optimal"
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+    else:
+        assert mine.status == "infeasible"
+
+
+def test_appended_row_can_make_the_lp_infeasible():
+    # min x1 st x1 + x2 = 1, 0 <= x <= 0.7; then x1 + x2 <= 0.5 empties it
+    res = lp.solve([1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0, 0.7), (0, 0.7)])
+    assert res.x == pytest.approx([0.3, 0.7], abs=1e-9)
+    tab = res.tableau
+    assert tab.copy().add_rows([[1.0, 0.0]], [0.5]).status == "optimal"
+    assert tab.copy().add_rows([[1.0, 1.0]], [0.5]).status == "infeasible"
+    assert tab.add_rows([[-1.0, 0.0]], [-0.6]).x == pytest.approx([0.6, 0.4], abs=1e-9)

@@ -64,6 +64,19 @@ class TestGhostBounds:
         assert l == pytest.approx(x)
         assert u == pytest.approx(x)
 
+    def test_collapsed_incoming_box_closes_rounding_crossings(self):
+        # Replication solutions that agree exactly, against an incoming box
+        # already collapsed onto a point one ulp lower in one coordinate: the
+        # intersection crosses (l > u) by about 1e-16, which used to end in
+        # "ghost bounds infeasible even after widening".
+        region = FeasibleRegion(3, 1.0)
+        x = np.array([0.2, 0.3, 0.5])
+        prev = np.array([0.2, np.nextafter(0.3, 0.0), 0.5])
+        l, u = update_ghost_bounds(np.tile(x, (4, 1)), 0.99, region, prev, prev)
+        assert np.all(l <= u)
+        assert l == pytest.approx(x, abs=1e-12)
+        assert u == pytest.approx(x, abs=1e-12)
+
     def test_huge_spread_clamps_to_quota(self):
         region = FeasibleRegion(2, 1.0, upper=[0.8, 0.8])
         sols = np.array([[0.8, 0.2], [0.0, 1.0], [1.0, 0.0], [0.2, 0.8]]) * 50
