@@ -120,18 +120,23 @@ def _loss_var(losses: np.ndarray, probs: np.ndarray, beta: float) -> float:
     return float(losses[order[idx]])
 
 
+def _loss_tail(scenarios: ScenarioSet, x, beta: float):
+    """(losses, VaR, CVaR) of the loss -x'y, from one sort of the losses."""
+    losses = -(scenarios.points @ np.asarray(x, dtype=float))
+    var = _loss_var(losses, scenarios.probs, beta)
+    gt = losses > var
+    p_le = 1.0 - scenarios.probs[gt].sum()
+    tail = float(scenarios.probs[gt] @ losses[gt])
+    return losses, var, float((tail + var * (p_le - beta)) / (1.0 - beta))
+
+
 def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
     """Exact beta-CVaR of the loss -x'y over a weighted discrete set.
 
     Splits the quantile atom: with V the beta-VaR,
     CVaR = (sum_{loss > V} p*loss + V*(P[loss <= V] - beta)) / (1 - beta).
     """
-    losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    var = _loss_var(losses, scenarios.probs, beta)
-    gt = losses > var
-    p_le = 1.0 - scenarios.probs[gt].sum()
-    tail = float(scenarios.probs[gt] @ losses[gt])
-    return float((tail + var * (p_le - beta)) / (1.0 - beta))
+    return _loss_tail(scenarios, x, beta)[2]
 
 
 def discrete_var(scenarios: ScenarioSet, x, beta: float) -> float:
@@ -159,7 +164,11 @@ def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
     near-ties instead could push a scenario above the VaR past its p_i.
     """
     losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    var = _loss_var(losses, scenarios.probs, beta)
+    return _tail_subgradient(scenarios, losses, _loss_var(losses, scenarios.probs, beta), beta)
+
+
+def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -> np.ndarray:
+    """cvar_subgradient from the losses at x and their VaR."""
     weights = np.where(losses > var, scenarios.probs, 0.0)
     at_var = losses == var
     residual = (1.0 - beta) - weights.sum()
@@ -217,8 +226,7 @@ class _CuttingPlane:
         self.pool = np.zeros((0, d))
         self.cap = _CUTS_PER_DIM * (d + 1)
 
-    def _add_cut(self, x) -> int:
-        g = cvar_subgradient(self.scenarios, x, self.problem.beta)
+    def _add_cut(self, g) -> int:
         self.pool = np.vstack([self.pool, g])
         return self.pool.shape[0] - 1
 
@@ -230,7 +238,8 @@ class _CuttingPlane:
         """
         problem, region = self.problem, self.problem.region
         d = region.d
-        first = self._add_cut(np.full(d, region.capital / d))
+        first = self._add_cut(cvar_subgradient(self.scenarios, np.full(d, region.capital / d),
+                                                problem.beta))
         rows, rhs = [region.A], [region.b]
         if problem.mode == P1:
             rows.append([-problem.mu])
@@ -271,15 +280,15 @@ class _CuttingPlane:
                 res = res.tableau.add_rows(_on_x(self.pool[violated], -1.0),
                                            np.zeros(violated.size))
                 continue
-            value = (self.weight * discrete_cvar(self.scenarios, x, self.problem.beta)
-                     + float(self.lin @ x))
+            losses, var, cvar = _loss_tail(self.scenarios, x, self.problem.beta)
+            value = self.weight * cvar + float(self.lin @ x)
             if value < best:
                 best, x_best = value, x
             if best - bound <= GAP_TOL * (1.0 + abs(best)):
                 return _Node("optimal", x_best, best, bound, res.tableau, have)
             if new == self.cap:
                 return _Node("iteration-limit")
-            k = self._add_cut(x)
+            k = self._add_cut(_tail_subgradient(self.scenarios, losses, var, self.problem.beta))
             have.add(k)
             new += 1
             res = res.tableau.add_rows(_on_x(self.pool[k], -1.0), [0.0])

@@ -23,12 +23,18 @@ from .errors import ConfigError
 from .seeding import rng_from
 
 BOUNDARY_TOL = 1e-9
-_ARCHIVE_CAP = 256
+_BATCH = 32  # points per batched projection in classify_mask
+_ARCHIVE_CAP = 1024  # dominance-archive entries kept per verdict
+_DOMINANCE_BLOCK = 1 << 16  # point-entry pairs compared at once
 
 
 @dataclass(frozen=True)
 class RiskRegion:
-    """Elliptical risk region for a feasible-set conic hull at level beta."""
+    """Elliptical risk region for a feasible-set conic hull at level beta.
+
+    Each region also keeps the dominance archive classify_mask fills and
+    reuses across calls; it is a cache and never changes a verdict.
+    """
 
     dist: EllipticalDistribution
     cone: Cone
@@ -47,6 +53,8 @@ class RiskRegion:
         if self.image_cone is None:
             object.__setattr__(self, "image_cone", transform(self.cone, self.dist.factor))
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
+        object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
+        object.__setattr__(self, "_archive", _DominanceArchive(self.dist.d))
 
     @property
     def d(self) -> int:
@@ -81,14 +89,52 @@ def _cone_in_orthant(cone: Cone) -> bool:
             return True
     if cone.facets is not None and cone.facets.shape[0] > 0:
         B = cone.facets
-        covered = np.zeros(cone.d, dtype=bool)
-        for row in B:
-            nz = np.flatnonzero(np.abs(row) > 1e-12)
-            if nz.size == 1 and row[nz[0]] > 0:
-                covered[nz[0]] = True
-        if covered.all():
-            return True
+        nz = np.abs(B) > 1e-12
+        unit = (nz.sum(axis=1) == 1)[:, None] & (B > 0)
+        return bool(unit.any(axis=0).all())
     return False
+
+
+def _below_any(Y: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows of Y that are componentwise <= some row of E.
+
+    Compares one coordinate at a time over blocks of point-entry pairs, so
+    temporaries stay at _DOMINANCE_BLOCK booleans.
+    """
+    hit = np.zeros(Y.shape[0], dtype=bool)
+    if E.shape[0] == 0:
+        return hit
+    step = max(1, _DOMINANCE_BLOCK // E.shape[0])
+    for s in range(0, Y.shape[0], step):
+        block = Y[s : s + step]
+        below = block[:, 0, None] <= E[:, 0]
+        for k in range(1, Y.shape[1]):
+            below &= block[:, k, None] <= E[:, k]
+        hit[s : s + step] = below.any(axis=1)
+    return hit
+
+
+class _DominanceArchive:
+    """Points of known verdict for one region, kept in arrival order.
+
+    When K is inside the orthant the loss -x'y is monotone in y, so a point
+    componentwise <= a risk point is risk and one >= a non-risk point is
+    non-risk. Dominance is exact, so the archive is a cache: verdicts never
+    change, and each side stops growing at _ARCHIVE_CAP entries.
+    """
+
+    def __init__(self, d: int):
+        self.risk = np.empty((0, d))
+        self.nonrisk = np.empty((0, d))
+
+    def add(self, Y: np.ndarray, risk: np.ndarray) -> None:
+        self.risk = self._append(self.risk, Y[risk])
+        self.nonrisk = self._append(self.nonrisk, Y[~risk])
+
+    @staticmethod
+    def _append(entries: np.ndarray, new: np.ndarray) -> np.ndarray:
+        room = _ARCHIVE_CAP - entries.shape[0]
+        return np.vstack([entries, new[:room]]) if room and new.size else entries
 
 
 def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.ndarray:
@@ -97,9 +143,10 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
     Exact shortcuts, none of which can change the partition:
       - ||z|| below the cutoff implies non-risk (projection is non-expansive);
       - -z already in K' makes the projection trivial;
-      - when K is inside the orthant, the loss is monotone in y, so a point
-        componentwise <= a known risk point is risk, and one >= a known
-        non-risk point is non-risk (archives are capped; they are a cache).
+      - when K is inside the orthant, a point dominated by an entry of the
+        region's archive takes that entry's verdict (see _DominanceArchive).
+    The remaining points are projected _BATCH at a time in draw order; each
+    batch's verdicts join the archive before the rest are screened again.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     n = Y.shape[0]
@@ -123,25 +170,22 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
             risk[sel] = znorm[sel] >= cutoff
             decided |= sel
 
-    dominance = use_shortcuts and _cone_in_orthant(region.cone)
-    risk_archive = np.empty((0, Y.shape[1]))
-    nonrisk_archive = np.empty((0, Y.shape[1]))
-    projector = region._projector
-    for i in np.flatnonzero(~decided):
-        y = Y[i]
-        if dominance and risk_archive.shape[0] and bool(np.any(np.all(y <= risk_archive, axis=1))):
-            risk[i] = True
-            continue
-        if dominance and nonrisk_archive.shape[0] and bool(np.any(np.all(y >= nonrisk_archive, axis=1))):
-            risk[i] = False
-            continue
-        w = projector.project(-Z[i])
-        risk[i] = bool(np.linalg.norm(w) >= cutoff)
-        if dominance:
-            if risk[i] and risk_archive.shape[0] < _ARCHIVE_CAP:
-                risk_archive = np.vstack([risk_archive, y[None, :]])
-            elif not risk[i] and nonrisk_archive.shape[0] < _ARCHIVE_CAP:
-                nonrisk_archive = np.vstack([nonrisk_archive, y[None, :]])
+    archive = region._archive if use_shortcuts and region._dominance else None
+    seen_risk = seen_nonrisk = 0  # archive entries every pending point was checked against
+    pending = np.flatnonzero(~decided)
+    while pending.size:
+        if archive is not None:
+            up = _below_any(Y[pending], archive.risk[seen_risk:])
+            risk[pending[up]] = True
+            pending = pending[~up]
+            pending = pending[~_below_any(-Y[pending], -archive.nonrisk[seen_nonrisk:])]
+            seen_risk, seen_nonrisk = archive.risk.shape[0], archive.nonrisk.shape[0]
+        batch, pending = pending[:_BATCH], pending[_BATCH:]
+        if not batch.size:
+            break
+        risk[batch] = np.linalg.norm(region._projector.project(-Z[batch]), axis=1) >= cutoff
+        if archive is not None:
+            archive.add(Y[batch], risk[batch])
     return risk
 
 

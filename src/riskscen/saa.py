@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (P1, PortfolioProblem, Solution, discrete_cvar, discrete_var,
-                       evaluate_objective, solve_cardinality, solve_lp)
+from .cvar_opt import (P1, PortfolioProblem, Solution, _loss_tail, evaluate_objective,
+                       solve_cardinality, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution,
                             fit_from_returns, normal_quantile, sample)
 from .errors import ConfigError, SolverError
@@ -247,8 +247,7 @@ def _screen_candidates(problem, source, config, seed, history):
     best_key = None
     for state in history:
         for x, z in zip(state.solutions, state.supports):
-            cvar = discrete_cvar(validation, x, problem.beta)
-            var = discrete_var(validation, x, problem.beta)
+            _, var, cvar = _loss_tail(validation, x, problem.beta)
             key = (cvar, var)
             if best_key is None or key < best_key:
                 best_key = key

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from oracles import project_generators_oracle, project_polyhedral_oracle
-from riskscen.cones import (Cone, FeasibleRegion, cone_member, conic_hull, nnls, project,
-                            project_generators, project_polyhedral, project_polytope, transform)
+from oracles import (project_generators_oracle, project_polyhedral_nnls_oracle,
+                     project_polyhedral_oracle)
+from riskscen import cones
+from riskscen.cones import (Cone, ConeProjector, FeasibleRegion, cone_member, conic_hull, nnls,
+                            project, project_generators, project_polyhedral, project_polytope,
+                            transform)
 from riskscen.errors import ConfigError, SolverError
+from shapes import SHAPES
 
 
 def orthant(d, form="both"):
@@ -164,7 +168,51 @@ class TestNnls:
 
     def test_empty_column_set_and_zero_target(self):
         assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+        assert nnls(np.zeros((3, 0)), np.ones((4, 3))).shape == (4, 0)
         assert np.array_equal(nnls(np.eye(3), np.zeros(3)), np.zeros(3))
+
+    def test_stack_matches_scipy_row_by_row(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 25))
+            A = rng.normal(size=(m, n))
+            B = rng.normal(size=(int(rng.integers(1, 40)), m)) * 3
+            lam = nnls(A, B)
+            assert lam.shape == (B.shape[0], n) and lam.min() >= 0.0
+            for b, row in zip(B, lam):
+                ref = scipy_nnls(A, b)[0]
+                assert np.linalg.norm(A @ row - b) <= np.linalg.norm(A @ ref - b) + 1e-10
+
+    def test_any_failed_row_certificate_raises(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(4, 6))
+        B = np.vstack([np.zeros(4), rng.normal(size=4)])
+        nnls(A, B)
+        # with a zero tolerance only the zero right-hand side (lam = 0, w = 0) is certified
+        monkeypatch.setattr(cones, "NNLS_CERT_TOL", 0.0)
+        nnls(A, B[:1])
+        with pytest.raises(SolverError, match="1 of 2 rows"):
+            nnls(A, B)
+
+
+class TestBatchedProjector:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_stack_matches_oracle_and_single_points(self, shape):
+        region = SHAPES[shape]()
+        W = -region.spherical_coords(region.dist.draw(np.random.default_rng(3), 1000))
+        projector = ConeProjector(region.image_cone)
+        batched = projector.project(W)
+        assert batched.shape == W.shape
+        oracle = project_polyhedral_nnls_oracle(region.image_cone.facets, W)
+        assert np.abs(batched - oracle).max() < 1e-8
+        single = np.array([projector.project(w) for w in W])
+        assert np.abs(batched - single).max() < 1e-12
+
+    def test_nonfinite_row_in_stack_raises(self):
+        W = np.ones((5, 3))
+        W[2, 1] = np.nan
+        with pytest.raises(ConfigError):
+            ConeProjector(orthant(3)).project(W)
 
 
 class TestProjectPolytope:

@@ -280,9 +280,20 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
     def test_matches_slsqp_oracle_at_d10_quota(self, mode, lam):
-        _, returns = synthetic_returns(10, 240, 7, family="student-t")
+        self._check_against_slsqp(10, 7, mode, lam)
+
+    @pytest.mark.parametrize("d,seed,mode,lam", [(4, 1, P3, 0.5), (6, 1, P1, 1.0),
+                                                 (8, 2, P3, 0.5), (10, 1, P1, 1.0)])
+    def test_matches_slsqp_oracle_with_dependent_passive_columns(self, d, seed, mode, lam):
+        # markets whose least-distance programs reach exactly dependent
+        # passive columns (an unregularized Gram solve raises on them)
+        self._check_against_slsqp(d, seed, mode, lam)
+
+    @staticmethod
+    def _check_against_slsqp(d, seed, mode, lam):
+        _, returns = synthetic_returns(d, 240, seed, family="student-t")
         dist = fit_from_returns(returns, "student-t", nu=4.0)
-        region = FeasibleRegion(10, 1.0, upper=np.full(10, 0.3))
+        region = FeasibleRegion(d, 1.0, upper=np.full(d, 0.3))
         problem = PortfolioProblem(region, 0.95, mu=dist.mu, mode=mode, lam=lam)
         sol = solve_exact_elliptical(problem, dist)
         weight = lam * dist.tail_cvar(0.95)  # P3 objective: lam*tail*||Px|| - mu'x

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
+from riskscen import risk_region
 from riskscen.cones import FeasibleRegion, conic_hull, project_polyhedral
-from riskscen.distributions import EllipticalDistribution, ScenarioSet, fit_from_returns, sample
+from riskscen.distributions import EllipticalDistribution, ScenarioSet
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
                                   estimate_nonrisk_prob, is_risk)
-from riskscen.synthetic import skewed_scenarios
+from shapes import SHAPES, ghost_box_region, quota_region
 
 
 def standard_region(beta=0.95, d=2, family="normal", nu=None):
@@ -53,22 +54,50 @@ class TestMembershipExamples:
 
 class TestGhostBoxProjection:
     def test_d12_ghost_box_matches_nnls_oracle(self):
-        # the case-study shape: a t(4) surrogate of skewed d=12 scenarios and
-        # a [0, 0.35] ghost box on the budget set, so K' has 24 facets
-        scen = skewed_scenarios(12, 3000, 5)
-        dist = fit_from_returns(scen.points, "student-t", nu=4.0, weights=scen.probs)
-        cone = conic_hull(FeasibleRegion(12, 1.0).with_bounds(0.0, 0.35))
-        Y = dist.draw(np.random.default_rng(0), 3000)
-        region = RiskRegion(dist, cone, 0.95)
+        region = ghost_box_region(0.95)
+        Y = region.dist.draw(np.random.default_rng(0), 3000)
         assert region.image_cone.facets.shape == (24, 12)
         W = -region.spherical_coords(Y)
         mine = np.array([project_polyhedral(region.image_cone, w) for w in W])
         oracle = project_polyhedral_nnls_oracle(region.image_cone.facets, W)
         assert np.abs(mine - oracle).max() < 1e-8
         for beta in (0.95, 0.99):
-            region = RiskRegion(dist, cone, beta)
+            region = ghost_box_region(beta)
             expected = np.linalg.norm(oracle, axis=1) >= region.threshold - 1e-9
             assert np.array_equal(classify_mask(region, Y), expected)
+
+
+class TestDominanceArchive:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_warm_archive_keeps_the_exact_mask(self, shape):
+        Y = SHAPES[shape]().dist.draw(np.random.default_rng(1), 3000)
+        exact = classify_mask(SHAPES[shape](), Y, use_shortcuts=False)
+        assert 0 < exact.sum() < exact.size
+        assert np.array_equal(classify_mask(SHAPES[shape](), Y), exact)
+        warm = SHAPES[shape]()
+        chunked = np.concatenate([classify_mask(warm, Y[s : s + 512])
+                                  for s in range(0, Y.shape[0], 512)])
+        assert np.array_equal(chunked, exact)
+        assert np.array_equal(classify_mask(warm, Y), exact)
+
+    def test_full_archive_stops_growing_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(risk_region, "_ARCHIVE_CAP", 40)
+        region = quota_region(0.95)
+        Y = region.dist.draw(np.random.default_rng(3), 3000)
+        exact = classify_mask(quota_region(0.95), Y, use_shortcuts=False)
+        assert np.array_equal(classify_mask(region, Y), exact)
+        assert region._archive.risk.shape[0] == region._archive.nonrisk.shape[0] == 40
+
+    def test_archive_persists_across_calls(self):
+        region = ghost_box_region(0.99)
+        Y = region.dist.draw(np.random.default_rng(2), 1000)
+        first = classify_mask(region, Y)
+        calls = []
+        project = region._projector.project
+        region._projector.project = lambda x: calls.append(len(x)) or project(x)
+        # every point left to project was archived by the first call and dominates itself
+        assert np.array_equal(classify_mask(region, Y), first)
+        assert calls == []
 
 
 class TestOracleAgreement:
