@@ -9,6 +9,10 @@ projection in spherical coordinates: with z = P^{-T}(y - mu) and K' = P K,
 where q_beta is the spherical beta-quantile. Boundary ties (within 1e-9)
 count as risk, which never invalidates aggregation. Aggregation collapses
 all non-risk scenarios of a set into their probability-weighted mean.
+
+Batch classification projects as few points as it can: each projection
+v = p + w (Moreau) leaves a unit ray of K' and one of its polar, and these
+bound ||p_{K'}(v')|| from both sides for every later point v'.
 """
 
 from __future__ import annotations
@@ -23,17 +27,18 @@ from .errors import ConfigError
 from .seeding import rng_from
 
 BOUNDARY_TOL = 1e-9
-_BATCH = 32  # points per batched projection in classify_mask
-_ARCHIVE_CAP = 1024  # dominance-archive entries kept per verdict
-_DOMINANCE_BLOCK = 1 << 16  # point-entry pairs compared at once
+_BATCH = 128  # points per batched projection in classify_mask
+_ARCHIVE_CAP = 1024  # entries kept per array of a region's archive
+_DOMINANCE_BLOCK = 1 << 16  # point-entry pairs screened at once
 
 
 @dataclass(frozen=True)
 class RiskRegion:
     """Elliptical risk region for a feasible-set conic hull at level beta.
 
-    Each region also keeps the dominance archive classify_mask fills and
-    reuses across calls; it is a cache and never changes a verdict.
+    Each region also keeps the archive of rays (and, for cones inside the
+    orthant, non-risk points) that classify_mask fills and reuses across
+    calls; it is a cache and never changes a verdict.
     """
 
     dist: EllipticalDistribution
@@ -54,7 +59,7 @@ class RiskRegion:
             object.__setattr__(self, "image_cone", transform(self.cone, self.dist.factor))
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
         object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
-        object.__setattr__(self, "_archive", _DominanceArchive(self.dist.d))
+        object.__setattr__(self, "_archive", _RayArchive(self.image_cone))
 
     @property
     def d(self) -> int:
@@ -114,39 +119,91 @@ def _below_any(Y: np.ndarray, E: np.ndarray) -> np.ndarray:
     return hit
 
 
-class _DominanceArchive:
-    """Points of known verdict for one region, kept in arrival order.
+def _max_dot(V: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """max_j V_i . E_j for each row of V (-inf without entries), blocked so
+    the product holds at most _DOMINANCE_BLOCK point-entry pairs."""
+    out = np.full(V.shape[0], -np.inf)
+    if E.shape[0] == 0:
+        return out
+    step = max(1, _DOMINANCE_BLOCK // E.shape[0])
+    for s in range(0, V.shape[0], step):
+        out[s : s + step] = (V[s : s + step] @ E.T).max(axis=1)
+    return out
 
-    When K is inside the orthant the loss -x'y is monotone in y, so a point
-    componentwise <= a risk point is risk and one >= a non-risk point is
-    non-risk. Dominance is exact, so the archive is a cache: verdicts never
-    change, and each side stops growing at _ARCHIVE_CAP entries.
+
+def _unit_rows_in(U: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Which unit rows of U lie in {x : rows @ x >= 0} to 1e-12 (all, without rows)."""
+    if rows is None or rows.shape[0] == 0:
+        return np.ones(U.shape[0], dtype=bool)
+    return (U @ rows.T).min(axis=1) >= -1e-12
+
+
+def _append(entries: np.ndarray, new: np.ndarray) -> np.ndarray:
+    room = _ARCHIVE_CAP - entries.shape[0]
+    return np.vstack([entries, new[:room]]) if room > 0 and new.size else entries
+
+
+class _RayArchive:
+    """What earlier projections certify about K' = P K, for one region.
+
+    By the Moreau decomposition v = p_{K'}(v) + w with w in the polar cone
+    K'o and p'w = 0. Any unit u in K' gives u'v <= ||p_{K'}(v)||, and any
+    unit w in K'o gives ||p_{K'}(v)|| = dist(v, K'o) <= sqrt(||v||^2 -
+    max(0, w'v)^2). So the archive keeps
+      - kray: unit rays of K': the cone's generators, then p/||p|| of each
+        projected risk point;
+      - polar: unit rays of K'o: the negated facet rows (the halfspace
+        bound), then w/||w|| of each projected point with ||w|| > 1e-6 ||v||;
+      - nonrisk: non-risk points; when K is inside the orthant the loss
+        -x'y is monotone in y, so a point >= one of them is non-risk.
+    On the generator route the NNLS builds p from the generators of K', on
+    the polar route it builds w from those of K'o. The other ray is kept
+    only if it lies in its cone to 1e-12 by the facets (rays of K') or the
+    generators (rays of K'o), far inside the 1e-9 margin classify_mask
+    leaves. So the archive is a cache: verdicts never change, and each
+    array stops growing at _ARCHIVE_CAP entries.
     """
 
-    def __init__(self, d: int):
-        self.risk = np.empty((0, d))
+    def __init__(self, image_cone: Cone):
+        d = image_cone.d
+        F, G = image_cone.facets, image_cone.generators
+        self.kray_test = F  # K' = {x : F x >= 0}
+        self.polar_test = None if G is None else -G  # K'o = {w : -G w >= 0}
+        self.kray = np.empty((0, d)) if G is None else G
+        F = np.empty((0, d)) if F is None else F
+        self.polar = -F / np.linalg.norm(F, axis=1)[:, None]
         self.nonrisk = np.empty((0, d))
 
-    def add(self, Y: np.ndarray, risk: np.ndarray) -> None:
-        self.risk = self._append(self.risk, Y[risk])
-        self.nonrisk = self._append(self.nonrisk, Y[~risk])
-
-    @staticmethod
-    def _append(entries: np.ndarray, new: np.ndarray) -> np.ndarray:
-        room = _ARCHIVE_CAP - entries.shape[0]
-        return np.vstack([entries, new[:room]]) if room and new.size else entries
+    def add(self, Y: np.ndarray, V: np.ndarray, P: np.ndarray, risk: np.ndarray,
+            dominance: bool) -> None:
+        """Archive a projected batch: points Y, v = -z, p = p_{K'}(v), verdicts."""
+        pnorm = np.linalg.norm(P, axis=1)
+        ray = risk & (pnorm > 0.0)
+        U = P[ray] / pnorm[ray, None]
+        self.kray = _append(self.kray, U[_unit_rows_in(U, self.kray_test)])
+        W = V - P
+        wnorm = np.linalg.norm(W, axis=1)
+        keep = wnorm > 1e-6 * np.linalg.norm(V, axis=1)
+        W = W[keep] / wnorm[keep, None]
+        self.polar = _append(self.polar, W[_unit_rows_in(W, self.polar_test)])
+        if dominance:
+            self.nonrisk = _append(self.nonrisk, Y[~risk])
 
 
 def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.ndarray:
     """Boolean risk mask for a batch of points; identical to pointwise is_risk.
 
-    Exact shortcuts, none of which can change the partition:
-      - ||z|| below the cutoff implies non-risk (projection is non-expansive);
-      - -z already in K' makes the projection trivial;
-      - when K is inside the orthant, a point dominated by an entry of the
-        region's archive takes that entry's verdict (see _DominanceArchive).
+    With v = -z, exact shortcuts, none of which can change the partition:
+      - ||v|| below the cutoff implies non-risk (projection is non-expansive);
+      - v already in K' makes the projection trivial;
+      - the rays of K' and of its polar in the region's archive bound
+        ||p_{K'}(v)|| from below and above (see _RayArchive); a bound that
+        clears the cutoff by 1e-9 (1 + ||v||) decides the point;
+      - when K is inside the orthant, a point >= an archived non-risk point
+        is non-risk.
     The remaining points are projected _BATCH at a time in draw order; each
-    batch's verdicts join the archive before the rest are screened again.
+    batch joins the archive, and the rest are screened against only what it
+    added, keeping each point's running bounds.
     """
     Y = np.atleast_2d(np.asarray(points, dtype=float))
     n = Y.shape[0]
@@ -155,37 +212,49 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
     if not np.all(np.isfinite(Y)):
         raise ConfigError("classification needs finite points")
     cutoff = region.threshold - BOUNDARY_TOL
-    Z = region.spherical_coords(Y)
+    V = -region.spherical_coords(Y)
     risk = np.zeros(n, dtype=bool)
-    decided = np.zeros(n, dtype=bool)
+    if not use_shortcuts:
+        for s in range(0, n, _BATCH):
+            P = region._projector.project(V[s : s + _BATCH])
+            risk[s : s + _BATCH] = np.linalg.norm(P, axis=1) >= cutoff
+        return risk
 
-    if use_shortcuts:
-        znorm = np.linalg.norm(Z, axis=1)
-        below = znorm < cutoff
-        decided |= below  # non-risk
-        Kp = region.image_cone
-        if Kp.facets is not None and Kp.facets.shape[0] > 0:
-            inside = np.all((-Z) @ Kp.facets.T >= 0.0, axis=1)
-            sel = inside & ~decided
-            risk[sel] = znorm[sel] >= cutoff
-            decided |= sel
+    vnorm = np.linalg.norm(V, axis=1)
+    decided = vnorm < cutoff  # non-risk
+    Kp = region.image_cone
+    if Kp.facets is not None and Kp.facets.shape[0] > 0:
+        inside = np.all(V @ Kp.facets.T >= 0.0, axis=1) & ~decided
+        risk[inside] = True  # ||v|| >= cutoff
+        decided |= inside
 
-    archive = region._archive if use_shortcuts and region._dominance else None
-    seen_risk = seen_nonrisk = 0  # archive entries every pending point was checked against
+    archive = region._archive
+    margin = 1e-9 * (1.0 + vnorm)
+    risk_at = cutoff + margin  # risk once the lower bound reaches this
+    lo = cutoff - margin  # non-risk once sqrt(||v||^2 - g^2) falls below lo,
+    safe_at = np.where(lo > 0.0, vnorm * vnorm - lo * lo, np.inf)  # that is g^2 > safe_at
+    lb = np.full(n, -np.inf)  # running max of u'v over K' rays
+    g = np.zeros(n)  # running max of max(0, w'v) over polar rays
+    seen_k = seen_p = seen_n = 0  # archive entries every pending point was screened against
     pending = np.flatnonzero(~decided)
     while pending.size:
-        if archive is not None:
-            up = _below_any(Y[pending], archive.risk[seen_risk:])
-            risk[pending[up]] = True
-            pending = pending[~up]
-            pending = pending[~_below_any(-Y[pending], -archive.nonrisk[seen_nonrisk:])]
-            seen_risk, seen_nonrisk = archive.risk.shape[0], archive.nonrisk.shape[0]
+        Vp = V[pending]
+        lb[pending] = np.maximum(lb[pending], _max_dot(Vp, archive.kray[seen_k:]))
+        g[pending] = np.maximum(g[pending], _max_dot(Vp, archive.polar[seen_p:]))
+        up = lb[pending] >= risk_at[pending]
+        risk[pending[up]] = True
+        down = g[pending] ** 2 > safe_at[pending]
+        pending = pending[~(up | down)]
+        if region._dominance:
+            pending = pending[~_below_any(-Y[pending], -archive.nonrisk[seen_n:])]
+        seen_k, seen_p, seen_n = (archive.kray.shape[0], archive.polar.shape[0],
+                                  archive.nonrisk.shape[0])
         batch, pending = pending[:_BATCH], pending[_BATCH:]
         if not batch.size:
             break
-        risk[batch] = np.linalg.norm(region._projector.project(-Z[batch]), axis=1) >= cutoff
-        if archive is not None:
-            archive.add(Y[batch], risk[batch])
+        P = region._projector.project(V[batch])
+        risk[batch] = np.linalg.norm(P, axis=1) >= cutoff
+        archive.add(Y[batch], V[batch], P, risk[batch], region._dominance)
     return risk
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import ScenarioSet
 from .errors import ConfigError
-from .risk_region import RiskRegion, aggregate, classify_mask, is_risk
+from .risk_region import RiskRegion, aggregate, classify_mask
 from .seeding import rng_from
 
 CHUNK = 512
@@ -30,6 +30,9 @@ class AggSampleReport:
     effective_sample_size is the total number of raw draws consumed; the
     set always holds n_risk + 1 scenarios (the last one is the aggregated
     point, or a fresh draw when no non-risk point ever appeared).
+    center_in_risk records that the aggregated point was classified risk
+    (the fresh draw is not checked). The non-risk set {y : ||p_{K'}(-z)|| <
+    cutoff} is convex, so this only happens through rounding at its boundary.
     """
 
     scenarios: ScenarioSet
@@ -37,6 +40,7 @@ class AggSampleReport:
     n_nonrisk: int
     effective_sample_size: int
     seed: int
+    center_in_risk: bool = False
 
 
 class _ChunkStream:
@@ -114,10 +118,12 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
             center = (n_nonrisk * center + taken[~tmask].sum(axis=0)) / (n_nonrisk + k)
             n_nonrisk += k
 
+    center_in_risk = False
     if n_nonrisk == 0:
         center = stream.next_point()
         n_nonrisk = 1
-    elif is_risk(region, center):
+    elif classify_mask(region, center[None, :])[0]:
+        center_in_risk = True
         logging.getLogger(__name__).warning(
             "aggregated point landed in the risk region; consistency conditions may fail"
         )
@@ -126,7 +132,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
     points = np.vstack(risk_points + [center[None, :]])
     probs = np.concatenate([np.full(n_risk, 1.0 / total), [n_nonrisk / total]])
     scen = ScenarioSet(points, probs, source="aggregated")
-    return AggSampleReport(scen, n_risk, n_nonrisk, total, int(seed))
+    return AggSampleReport(scen, n_risk, n_nonrisk, total, int(seed), center_in_risk)
 
 
 def aggregation_reduction(region: RiskRegion, scenarios: ScenarioSet) -> ScenarioSet:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
 from riskscen import risk_region
-from riskscen.cones import FeasibleRegion, conic_hull, project_polyhedral
+from riskscen.cones import Cone, FeasibleRegion, conic_hull, project_polyhedral
 from riskscen.distributions import EllipticalDistribution, ScenarioSet
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
@@ -86,7 +86,9 @@ class TestDominanceArchive:
         Y = region.dist.draw(np.random.default_rng(3), 3000)
         exact = classify_mask(quota_region(0.95), Y, use_shortcuts=False)
         assert np.array_equal(classify_mask(region, Y), exact)
-        assert region._archive.risk.shape[0] == region._archive.nonrisk.shape[0] == 40
+        archive = region._archive
+        assert archive.kray.shape[0] == archive.polar.shape[0] == archive.nonrisk.shape[0] == 40
+        assert np.array_equal(classify_mask(region, Y), exact)
 
     def test_archive_persists_across_calls(self):
         region = ghost_box_region(0.99)
@@ -98,6 +100,53 @@ class TestDominanceArchive:
         # every point left to project was archived by the first call and dominates itself
         assert np.array_equal(classify_mask(region, Y), first)
         assert calls == []
+
+
+class TestRayBounds:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_archived_rays_bound_fresh_projections(self, shape):
+        """Rays archived by one call bound the projection norms of new draws."""
+        region = SHAPES[shape]()
+        rng = np.random.default_rng(4)
+        classify_mask(region, region.dist.draw(rng, 3000))
+        facets = region.image_cone.facets
+        kray, polar = region._archive.kray, region._archive.polar
+        assert kray.shape[0] > 0 and polar.shape[0] > facets.shape[0]
+        V = -region.spherical_coords(region.dist.draw(rng, 2000))
+        pnorm = np.linalg.norm(project_polyhedral_nnls_oracle(facets, V), axis=1)
+        assert np.all((V @ kray.T).max(axis=1) <= pnorm + 1e-9)
+        g = np.maximum(0.0, (V @ polar.T).max(axis=1))
+        upper = np.sqrt(np.maximum(np.einsum("ij,ij->i", V, V) - g * g, 0.0))
+        assert np.all(upper >= pnorm - 1e-9)
+        assert (kray @ facets.T).min() >= -1e-12
+
+    @pytest.mark.parametrize("form", ["facets", "generators"])
+    def test_ray_screen_alone_keeps_the_exact_mask(self, form):
+        """Random cones outside the orthant: no dominance, only the norm,
+        membership and ray screens decide points before projection."""
+        rng = np.random.default_rng(11 if form == "facets" else 12)
+        projected = screened = 0
+        for _ in range(6):
+            d = int(rng.integers(2, 9))
+            center = rng.normal(size=d)
+            k = int(rng.integers(d, 2 * d + 1))
+            rows = center + 0.8 * np.linalg.norm(center) * rng.normal(size=(k, d))
+            cone = Cone(d, **{form: rows})
+            assert not risk_region._cone_in_orthant(cone)
+            P = np.eye(d) + 0.3 * np.triu(rng.normal(size=(d, d)), 1)
+            dist = EllipticalDistribution("student-t", 0.01 * rng.normal(size=d), P, 5.0)
+            region = RiskRegion(dist, cone, 0.9)
+            project = region._projector.project
+            calls = []
+            region._projector.project = lambda x: calls.append(len(x)) or project(x)
+            for _ in range(3):
+                Y = dist.draw(rng, 600)
+                mask = classify_mask(region, Y)
+                projected += sum(calls)
+                screened += Y.shape[0]
+                assert np.array_equal(mask, classify_mask(region, Y, use_shortcuts=False))
+                calls.clear()
+        assert projected < screened / 4
 
 
 class TestOracleAgreement:

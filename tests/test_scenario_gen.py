@@ -1,8 +1,11 @@
 """Aggregation sampling: weights, draw accounting, laws, and consistency."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from riskscen import scenario_gen
 from riskscen.cones import FeasibleRegion, conic_hull
 from riskscen.cvar_opt import discrete_cvar
 from riskscen.distributions import EllipticalDistribution, ScenarioSet
@@ -62,6 +65,20 @@ class TestAggregationSampling:
         rep = aggregation_sampling(region, region.dist, 200, 5)
         envelope = 4.0 / np.sqrt(rep.effective_sample_size)
         assert np.abs(rep.scenarios.mean()).max() < envelope
+
+    def test_center_verdict_is_reported(self, monkeypatch, caplog):
+        region = make_region()
+        rep = aggregation_sampling(region, region.dist, 50, 123)
+        center = rep.scenarios.points[-1]
+        assert rep.center_in_risk is False and not is_risk(region, center)
+        classify = scenario_gen.classify_mask
+        monkeypatch.setattr(scenario_gen, "classify_mask",
+                            lambda reg, pts: classify(reg, pts) | np.all(pts == center, axis=1))
+        with caplog.at_level(logging.WARNING, logger=scenario_gen.__name__):
+            flagged = aggregation_sampling(region, region.dist, 50, 123)
+        assert flagged.center_in_risk is True
+        assert np.array_equal(flagged.scenarios.points, rep.scenarios.points)
+        assert "landed in the risk region" in caplog.text
 
     def test_target_must_be_positive(self):
         region = make_region()
