@@ -14,6 +14,7 @@ leading `prob` column.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,8 +194,9 @@ def _check_family(family: str, nu: float | None) -> float | None:
     raise ConfigError(f"unknown family {family!r}")
 
 
+@functools.lru_cache
 def spherical_quantile(family: str, beta: float, nu: float | None = None) -> float:
-    """beta-quantile of the first coordinate of the spherical driver."""
+    """beta-quantile of the first coordinate of the spherical driver (memoized)."""
     if not 0.0 < beta < 1.0:
         raise ConfigError("beta must be in (0, 1)")
     nu = _check_family(family, nu)
@@ -203,8 +205,9 @@ def spherical_quantile(family: str, beta: float, nu: float | None = None) -> flo
     return t_quantile(beta, nu)
 
 
+@functools.lru_cache
 def spherical_cvar(family: str, beta: float, nu: float | None = None) -> float:
-    """beta-CVaR of the spherical driver's first coordinate, in closed form."""
+    """beta-CVaR of the spherical driver's first coordinate, in closed form (memoized)."""
     if not 0.0 < beta < 1.0:
         raise ConfigError("beta must be in (0, 1)")
     nu = _check_family(family, nu)

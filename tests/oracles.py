@@ -192,15 +192,34 @@ def grid_search_cvar(points: np.ndarray, probs: np.ndarray, beta: float,
     return X[j], float(cvars[j])
 
 
-def cvar_at(points, probs, beta, x) -> float:
+def var_at(points, probs, beta, x) -> float:
+    """beta-VaR of -x'y from a full stable sort of the losses."""
     losses = -(points @ x)
-    order = np.argsort(losses)
+    order = np.argsort(losses, kind="stable")
     cum = np.cumsum(probs[order])
     idx = min(int(np.searchsorted(cum, beta - 1e-12)), losses.size - 1)
-    var = losses[order][idx]
+    return float(losses[order][idx])
+
+
+def cvar_at(points, probs, beta, x) -> float:
+    losses = -(points @ x)
+    var = var_at(points, probs, beta, x)
     gt = losses > var
     p_le = 1.0 - probs[gt].sum()
     return (probs[gt] @ losses[gt] + var * (p_le - beta)) / (1.0 - beta)
+
+
+def cvar_subgradient_at(points, probs, beta, x) -> np.ndarray:
+    """-(w'Y)/(1-beta) with w = p above var_at, and the leftover tail mass
+    spread over the losses equal to it in proportion to p."""
+    losses = -(points @ x)
+    var = var_at(points, probs, beta, x)
+    w = np.where(losses > var, probs, 0.0)
+    at = losses == var
+    left, mass = (1.0 - beta) - w.sum(), probs[at].sum()
+    if mass > 0 and left > 0:
+        w = w + at * (probs * left / mass)
+    return -(w @ points) / (1.0 - beta)
 
 
 def simplex_cvar_oracle(points: np.ndarray, probs: np.ndarray, beta: float,

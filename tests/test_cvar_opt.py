@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import elliptical_objective_oracle, ru_lp_oracle, simplex_cvar_oracle
+from oracles import (cvar_at, cvar_subgradient_at, elliptical_objective_oracle, ru_lp_oracle,
+                     simplex_cvar_oracle, var_at)
 from riskscen.cones import FeasibleRegion, conic_hull
 from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, cvar_subgradient,
                                discrete_cvar, discrete_var, solve_cardinality,
@@ -51,6 +52,58 @@ class TestDiscreteCvar:
     def test_var_atom(self):
         scen = equal_losses(range(1, 11))
         assert discrete_var(scen, [1.0], 0.9) == pytest.approx(9.0)
+
+
+@st.composite
+def dyadic_scenario_sets(draw):
+    """Integer losses full of ties over probabilities w / 2**J with integer w,
+    so every partial sum of probabilities is exact. Weights are equal, random
+    integers (the last padded up to the power of two), or aggregation_sampling's
+    shape: equal risk weights and one heavy atom last. beta is a multiple of
+    the weight unit (beta * n an integer for equal weights) or is not."""
+    total = 2 ** draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["equal", "integer", "atom"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "equal":
+        w = np.ones(total)
+    elif shape == "integer":
+        w = rng.integers(1, 5, draw(st.integers(1, total // 2))).astype(float)
+        total = 2 ** max(1, int(np.ceil(np.log2(w.sum()))))
+        w[-1] += total - w.sum()
+    else:
+        n_risk = draw(st.integers(0, total - 1))
+        w = np.append(np.ones(n_risk), total - n_risk)
+    d = draw(st.integers(1, 3))
+    pts = rng.integers(-3, 4, (w.size, d)).astype(float)
+    x = rng.integers(0, 4, d).astype(float)
+    beta = draw(st.one_of(
+        st.integers(1, total - 1).map(lambda i: i / total),
+        st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+        st.floats(0.01, 0.99)))
+    return ScenarioSet(pts, w / total), x, beta
+
+
+class TestLossSelection:
+    """The selection VaR equals the VaR of a full stable sort, bit for bit."""
+
+    def _assert_exact(self, scen, x, beta):
+        pts, probs = scen.points, scen.probs
+        assert discrete_var(scen, x, beta) == var_at(pts, probs, beta, x)
+        assert discrete_cvar(scen, x, beta) == cvar_at(pts, probs, beta, x)
+        assert np.array_equal(cvar_subgradient(scen, x, beta),
+                              cvar_subgradient_at(pts, probs, beta, x))
+
+    @given(dyadic_scenario_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_ties_and_dyadic_weights(self, case):
+        self._assert_exact(*case)
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    @pytest.mark.parametrize("beta", [0.95, 0.99])
+    def test_equal_weights_at_scale(self, n, beta):
+        rng = np.random.default_rng(n)
+        scen = ScenarioSet.equally_weighted(0.01 + 0.05 * rng.standard_t(4, (n, 4)))
+        self._assert_exact(scen, rng.dirichlet(np.ones(4)), beta)
 
 
 @st.composite
@@ -306,8 +359,8 @@ class TestSolveExact:
 
     @pytest.mark.slow
     def test_agreement_with_large_sample_lp(self):
-        # 2e5-scenario auxiliary LP solved sparse (HiGHS); the embedded dense
-        # simplex is cross-checked against HiGHS elsewhere at its own scale.
+        # 2e5-scenario Rockafellar-Uryasev LP solved sparse by HiGHS's interior
+        # point method, which takes a fraction of its dual simplex's time here.
         rng = np.random.default_rng(22)
         R = rng.multivariate_normal([0.01] * 5, 0.0004 * (np.eye(5) + 0.3), size=2000)
         dist = fit_from_returns(R, "normal")
@@ -325,7 +378,7 @@ class TestSolveExact:
         b_ub = np.concatenate([np.zeros(n), [-problem.tau]])
         A_eq = sp.csr_matrix(np.concatenate([np.ones(d), [0.0], np.zeros(n)])[None, :])
         bounds = [(0, 1)] * d + [(None, None)] + [(0, None)] * n
-        ref = linprog(c, A_ub, b_ub, A_eq, np.array([1.0]), bounds, method="highs")
+        ref = linprog(c, A_ub, b_ub, A_eq, np.array([1.0]), bounds, method="highs-ipm")
         assert ref.status == 0
         assert abs(exact.cvar - ref.fun) / abs(exact.cvar) <= 0.005
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from riskscen.cones import FeasibleRegion, conic_hull
+from riskscen.cones import ConeProjector, FeasibleRegion, conic_hull
 from riskscen.distributions import EllipticalDistribution, load_scenarios
 from riskscen.errors import ConfigError
 from riskscen.experiments import (run_case_study, run_classify, run_prob_table,
@@ -198,7 +198,15 @@ class TestAdHocCommands:
         out = run_project(config, 1, tmp_path)
         assert "projection" in out and "[0." in out
 
-    def test_classify_echo(self, tmp_path):
+    def test_classify_echo(self, tmp_path, monkeypatch):
+        calls = []
+        project = ConeProjector.project
+
+        def counting(self, x0):
+            calls.append(np.atleast_2d(x0).shape[0])
+            return project(self, x0)
+
+        monkeypatch.setattr(ConeProjector, "project", counting)
         config = {"region": {"d": 2, "capital": 1.0},
                   "distribution": {"family": "normal", "mu": [0.0, 0.0],
                                    "factor": [[1.0, 0.0], [0.0, 1.0]]},
@@ -207,6 +215,7 @@ class TestAdHocCommands:
         out = run_classify(config, 1, tmp_path)
         lines = out.splitlines()
         assert "risk" in lines[1] and "non-risk" in lines[2]
+        assert calls == [1, 1]  # one single-point projection per point
 
     def test_malformed_points_csv_reports_line(self, tmp_path):
         bad = tmp_path / "pts.csv"
