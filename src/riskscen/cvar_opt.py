@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ P3 = "P3"  # min lam*CVaR + (1-lam)*(-expected return)
 _TIE_BREAK = 1e-12
 GAP_TOL = 1e-9  # certified relative gap: best - bound <= GAP_TOL * (1 + |best|)
 _CUTS_PER_DIM = 100  # cap on new cuts in one certification: _CUTS_PER_DIM * (d + 1)
+_NODE_LIMIT = 100_000  # branch-and-bound masters certified per solve_cardinality call
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,15 @@ class PortfolioProblem:
     @property
     def d(self) -> int:
         return self.region.d
+
+    @property
+    def weight(self) -> float:
+        """The weight on CVaR in the objective: 1 for P1, lam for P3."""
+        return 1.0 if self.mode == P1 else self.lam
+
+    def objective(self, cvar: float, ret: float) -> float:
+        """The objective at a portfolio with this CVaR and expected return."""
+        return cvar if self.mode == P1 else self.lam * cvar + (1.0 - self.lam) * (-ret)
 
 
 @dataclass(frozen=True)
@@ -177,11 +187,8 @@ def discrete_var(scenarios: ScenarioSet, x, beta: float) -> float:
 
 def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> float:
     """The problem objective at x, with CVaR taken from the scenario set."""
-    cvar = discrete_cvar(scenarios, x, problem.beta)
-    if problem.mode == P1:
-        return cvar
-    ret = float(np.asarray(x) @ problem.mu)
-    return problem.lam * cvar + (1.0 - problem.lam) * (-ret)
+    return problem.objective(discrete_cvar(scenarios, x, problem.beta),
+                             float(np.asarray(x) @ problem.mu))
 
 
 def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
@@ -211,9 +218,8 @@ def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -
 def _finish(problem, scenarios, x, z=None, lp_objective=None) -> Solution:
     cvar = discrete_cvar(scenarios, x, problem.beta)
     ret = float(x @ problem.mu)
-    obj = cvar if problem.mode == P1 else problem.lam * cvar + (1.0 - problem.lam) * (-ret)
-    return Solution(x, obj, cvar, ret, "optimal", z=z, scenario_count=scenarios.n,
-                    lp_objective=lp_objective)
+    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", z=z,
+                    scenario_count=scenarios.n, lp_objective=lp_objective)
 
 
 def _on_x(A, t_coeff: float = 0.0) -> np.ndarray:
@@ -249,7 +255,7 @@ class _CuttingPlane:
     def __init__(self, problem: PortfolioProblem, scenarios: ScenarioSet):
         d = problem.d
         self.problem, self.scenarios = problem, scenarios
-        self.weight = 1.0 if problem.mode == P1 else problem.lam
+        self.weight = problem.weight
         self.lin = _TIE_BREAK * np.arange(1, d + 1)
         if problem.mode == P3:
             self.lin = self.lin - (1.0 - problem.lam) * problem.mu
@@ -377,7 +383,7 @@ def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistributi
     if problem.cardinality is not None:
         raise ConfigError("exact elliptical solver handles continuous problems only")
     P, mu = dist.factor, problem.mu
-    weight = (1.0 if problem.mode == P1 else problem.lam) * dist.tail_cvar(problem.beta)
+    weight = problem.weight * dist.tail_cvar(problem.beta)
     G, h = _feasible_rows(problem)
     Gu = np.linalg.solve(P.T, G.T).T  # rows of G P^{-1}
     Gr = np.vstack([Gu, np.linalg.solve(P.T, -mu)])
@@ -415,16 +421,14 @@ def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistributi
     scale = float(np.linalg.norm(P @ x))
     cvar = scale * dist.tail_cvar(problem.beta) - float(x @ problem.mu)
     ret = float(x @ problem.mu)
-    obj = cvar if problem.mode == P1 else problem.lam * cvar + (1.0 - problem.lam) * (-ret)
-    return Solution(x, obj, cvar, ret, "optimal")
+    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal")
 
 
 # ---------------------------------------------------------------------------
 # branch and bound on the support
 
 
-def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
-                      node_limit: int = 100_000) -> Solution:
+def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
     """Best-first branch-and-bound for the support-limited problem.
 
     Nodes fix assets in (z=0) or out (z=1); the relaxation keeps fractional
@@ -446,9 +450,7 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
     if np.sort(caps)[::-1][:l].sum() < region.capital - 1e-12:
         return Solution(None, np.nan, np.nan, np.nan, "infeasible")
 
-    base = PortfolioProblem(region, problem.beta, problem.mu, problem.mode,
-                            problem.tau, problem.lam, None)
-    cutting = _CuttingPlane(base, scenarios)
+    cutting = _CuttingPlane(replace(problem, cardinality=None), scenarios)
 
     def slot_row(z0: frozenset, z1: frozenset):
         coeffs = np.zeros(d)
@@ -514,7 +516,7 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet,
         for child_z0, child_z1, row, rhs in children:
             child = cutting.branch(node, row, [rhs])
             solves += 1
-            if solves > node_limit:
+            if solves > _NODE_LIMIT:
                 raise SolverError("branch-and-bound node limit exceeded")
             if child.status == "iteration-limit":
                 return failed(child)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver with warm re-solves after appended rows.
+"""Dense simplex solver with warm re-solves after appended rows.
 
 The LPs solved here stay small: cutting-plane master problems over the
 portfolio weights plus one epigraph variable, and feasibility probes of
@@ -8,11 +8,17 @@ negative reduced cost, ratio ties broken by largest pivot element; after a
 sustained run of degenerate pivots (10x the row count) the solver falls back
 to Bland's rule, which cannot cycle.
 
-An optimal `solve` returns its final tableau. `Tableau.add_rows` appends
-inequality rows to it and re-optimizes by the dual simplex: the old basis
-plus the new rows' slacks keeps every reduced cost nonnegative, so a few
-dual pivots restore primal feasibility where a fresh solve would repeat
-phase 1.
+Every row is an inequality with its own slack (an equality is a pair of
+opposing rows), so the all-slack basis is a valid start however the right-
+hand sides are signed. Phase 1 is the dual simplex (Lemke, Naval Res.
+Logistics Q. 1 (1954)) under zero costs, where every basis is dual
+feasible; phase 2 is the primal simplex under the real costs. An optimal
+`solve` returns its final tableau. `Tableau.add_rows` appends inequality
+rows to it and re-optimizes the same way, by the dual simplex under the real
+costs: the old basis plus the new rows' slacks keeps every reduced cost
+nonnegative, so a few dual pivots restore primal feasibility. Either way an
+LP is infeasible exactly when a dual pivot finds a row below -FEAS_TOL with
+no negative entry.
 """
 
 from __future__ import annotations
@@ -108,15 +114,10 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
     stuck = np.zeros(m, dtype=bool)
     for it in range(maxiter):
         rhs = np.where(stuck, 0.0, T[:, n])
-        if bland:
-            neg = np.flatnonzero(rhs < -DUAL_STOP_TOL)
-            if neg.size == 0:
-                return "optimal", it
-            leave = int(neg[np.argmin(basis[neg])])
-        else:
-            leave = int(np.argmin(rhs))
-            if rhs[leave] >= -DUAL_STOP_TOL:
-                return "optimal", it
+        neg = np.flatnonzero(rhs < -DUAL_STOP_TOL)
+        if neg.size == 0:
+            return "optimal", it
+        leave = int(neg[np.argmin(basis[neg] if bland else rhs[neg])])
         row = T[leave, :n]
         cand = row < -FEAS_TOL
         if not cand.any():
@@ -144,7 +145,7 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
 
 
 class Tableau:
-    """The optimal tableau of a `solve`, kept to re-optimize after new rows.
+    """The tableau of an LP in standard form, kept to re-optimize after new rows.
 
     T is [structural columns | slacks | rhs] with T[:, basis] = I; the
     original variables are x = offset + S @ y over the structural columns y.
@@ -187,32 +188,34 @@ class Tableau:
         new[:, n : n + k] = np.eye(k)
         new[:, -1] = b - A @ self.offset
         new -= new[:, self.basis] @ T[:m]
-        basis = np.concatenate([self.basis, np.arange(n, n + k)])
-        cost = np.zeros(n + k)
+        self.T, self.basis = T, np.concatenate([self.basis, np.arange(n, n + k)])
+        return self._optimize(phase1=False)
+
+    def _optimize(self, phase1: bool) -> LpResult:
+        """Dual simplex to a primal feasible basis, then primal simplex to optimal.
+
+        The dual pass needs every reduced cost nonnegative in the starting
+        basis: a cold start (`phase1`) runs it under zero costs, a re-solve
+        after appended rows under the real costs. The primal pass then
+        optimizes the real costs; after a re-solve it only cleans up reduced
+        costs that ratio ties within tolerance left slightly negative.
+        """
+        m, n = self.T.shape[0], self.T.shape[1] - 1
+        cost = np.zeros(n)
         cost[: self.S.shape[1]] = self.c @ self.S
-        maxiter = 10000 + 25 * (m + k + n)
-        bland_after = 10 * (m + k)
-        status, it1 = _run_dual_simplex(T, basis, cost, maxiter, bland_after)
+        maxiter = 10000 + 25 * (m + n)
+        bland_after = 10 * max(m, 1)
+        dual_cost = np.zeros(n) if phase1 else cost
+        status, it1 = _run_dual_simplex(self.T, self.basis, dual_cost, maxiter, bland_after)
         it2 = 0
         if status == "optimal":
-            # Ratio ties within tolerance can leave a reduced cost slightly
-            # negative; primal pivots clean it up (usually none).
-            status, it2 = _run_simplex(T, basis, cost, maxiter, bland_after)
-        self.T, self.basis = T, basis
+            status, it2 = _run_simplex(self.T, self.basis, cost, maxiter, bland_after)
         if status != "optimal":
             return LpResult(status, None, None, it1 + it2)
         return self.result(it1 + it2)
 
 
-def solve(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    bounds=None,
-    maxiter: int | None = None,
-) -> LpResult:
+def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
     """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and box bounds.
 
     `bounds` is a per-variable list of (lo, hi); None means unbounded on that
@@ -235,110 +238,22 @@ def solve(
     # the shifted columns y >= 0.
     lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in bounds])
     hi = np.array([np.inf if b[1] is None else float(b[1]) for b in bounds])
-    if np.any(lo > hi):
-        return LpResult("infeasible", None, None, 0)
-
     free = ~np.isfinite(lo) & ~np.isfinite(hi)
-    ncols = nvar + int(free.sum())
-    S = np.zeros((nvar, ncols))
+    boxed = np.isfinite(lo) & np.isfinite(hi)
+    col = np.arange(nvar) + np.cumsum(free) - free  # the column of y each x_j starts at
+    S = np.zeros((nvar, nvar + int(free.sum())))
+    S[np.arange(nvar), col] = np.where(np.isfinite(lo) | free, 1.0, -1.0)
+    S[free, col[free] + 1] = -1.0
     offset = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    ub_rows = []  # (col index, residual upper bound)
-    col = 0
-    for j in range(nvar):
-        S[j, col] = 1.0 if np.isfinite(lo[j]) or free[j] else -1.0
-        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-            ub_rows.append((col, hi[j] - lo[j]))
-        if free[j]:
-            col += 1
-            S[j, col] = -1.0
-        col += 1
 
-    Aub_x = A_ub @ S
-    bub_x = b_ub - A_ub @ offset
-    Aeq_x = A_eq @ S
-    beq_x = b_eq - A_eq @ offset
-    if ub_rows:
-        extra = np.zeros((len(ub_rows), ncols))
-        extra_b = np.zeros(len(ub_rows))
-        for i, (col, ub) in enumerate(ub_rows):
-            extra[i, col] = 1.0
-            extra_b[i] = ub
-        Aub_x = np.vstack([Aub_x, extra])
-        bub_x = np.concatenate([bub_x, extra_b])
-
-    m_ub, m_eq = Aub_x.shape[0], Aeq_x.shape[0]
-    m = m_ub + m_eq
-    nslack = m_ub
-
-    # Rows: [A_ub | slack I] then [A_eq | 0]; flip rows to rhs >= 0.
-    A = np.zeros((m, ncols + nslack))
-    rhs = np.zeros(m)
-    A[:m_ub, :ncols] = Aub_x
-    A[:m_ub, ncols : ncols + nslack] = np.eye(nslack)
-    rhs[:m_ub] = bub_x
-    A[m_ub:, :ncols] = Aeq_x
-    rhs[m_ub:] = beq_x
-    flip = rhs < 0
-    A[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    # Starting basis: own slack where it still has coefficient +1, else an
-    # artificial column (flipped inequality rows and all equality rows).
-    needs_art = np.ones(m, dtype=bool)
-    basis = np.zeros(m, dtype=int)
-    for i in range(m_ub):
-        if not flip[i]:
-            basis[i] = ncols + i
-            needs_art[i] = False
-    art_rows = np.flatnonzero(needs_art)
-    nart = art_rows.size
-    ntot = ncols + nslack + nart
-    T = np.zeros((m, ntot + 1))
-    T[:, : ncols + nslack] = A
-    for k, i in enumerate(art_rows):
-        T[i, ncols + nslack + k] = 1.0
-        basis[i] = ncols + nslack + k
-    T[:, ntot] = rhs
-
-    if maxiter is None:
-        maxiter = 10000 + 25 * (m + ncols)
-    bland_after = 10 * max(m, 1)
-    iters = 0
-
-    if nart:
-        c1 = np.zeros(ntot)
-        c1[ncols + nslack :] = 1.0
-        # Make the dictionary consistent: eliminate basic columns from rows
-        # already holds (identity), run phase 1.
-        status, it1 = _run_simplex(T, basis, c1, maxiter, bland_after)
-        iters += it1
-        if status == "iteration-limit":
-            return LpResult("iteration-limit", None, None, iters)
-        phase1_obj = c1[basis] @ T[:, ntot]
-        if phase1_obj > 1e-7:
-            return LpResult("infeasible", None, None, iters)
-        # Drive leftover artificials out of the basis or drop redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= ncols + nslack:
-                row = T[i, : ncols + nslack]
-                cand = np.flatnonzero(np.abs(row) > 1e-9)
-                if cand.size:
-                    _pivot(T, i, int(cand[0]))
-                    basis[i] = int(cand[0])
-                else:
-                    keep[i] = False
-        T = T[keep]
-        basis = basis[keep]
-        m = T.shape[0]
-    T = np.hstack([T[:, : ncols + nslack], T[:, [ntot]]])
-
-    c2 = np.concatenate([c @ S, np.zeros(nslack)])
-    status, it2 = _run_simplex(T, basis, c2, maxiter, bland_after)
-    iters += it2
-    if status != "optimal":
-        return LpResult(status, None, None, iters)
-    return Tableau(T, basis, c, S, offset).result(iters)
+    # Rows A y <= rhs: the inequalities, the finite upper bounds (the rows of
+    # S of the boxed variables) and each equality as an opposing pair.
+    Aeq_y, beq_y = A_eq @ S, b_eq - A_eq @ offset
+    A = np.vstack([A_ub @ S, S[boxed], Aeq_y, -Aeq_y])
+    rhs = np.concatenate([b_ub - A_ub @ offset, (hi - lo)[boxed], beq_y, -beq_y])
+    m, ncols = A.shape
+    T = np.hstack([A, np.eye(m), rhs[:, None]])
+    return Tableau(T, np.arange(ncols, ncols + m), c, S, offset)._optimize(phase1=True)
 
 
 def find_feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):

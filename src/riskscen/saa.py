@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (P1, PortfolioProblem, Solution, _loss_tail, evaluate_objective,
+from .cvar_opt import (PortfolioProblem, Solution, _loss_tail, evaluate_objective,
                        solve_cardinality, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution,
                             fit_from_returns, normal_quantile, sample)
@@ -148,8 +148,6 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
 
 
 def _bounds_feasible(region: FeasibleRegion, l, u, cardinality) -> bool:
-    if np.any(l > u + 1e-12):
-        return False
     if cardinality is not None:
         caps = np.minimum(cardinality.caps, u)
         if int((l > 1e-12).sum()) > cardinality.max_assets:
@@ -163,12 +161,12 @@ def _bounds_feasible(region: FeasibleRegion, l, u, cardinality) -> bool:
     return True
 
 
-def _surrogate_for(source, problem, family: str = "student-t", nu: float = 4.0):
+def _surrogate_for(source):
     if isinstance(source, EllipticalDistribution):
         return source
     if isinstance(source, EmpiricalDistribution):
         scen = source.scenarios
-        return fit_from_returns(scen.points, family, nu=nu, weights=scen.probs)
+        return fit_from_returns(scen.points, "student-t", nu=4.0, weights=scen.probs)
     raise ConfigError("cannot build a risk region for this distribution source")
 
 
@@ -189,13 +187,12 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
     history: list[SaaState] = []
     aggregating = config.mode in (AGGREGATION, AGGREGATION_GHOST)
     if aggregating and surrogate is None:
-        surrogate = _surrogate_for(source, problem)
+        surrogate = _surrogate_for(source)
 
     for it in range(config.max_iterations):
         t0 = time.perf_counter()
         region_t = region0.with_bounds(lower, upper)
-        problem_t = PortfolioProblem(region_t, problem.beta, problem.mu, problem.mode,
-                                     problem.tau, problem.lam, problem.cardinality)
+        problem_t = replace(problem, region=region_t)
         rr = None
         if aggregating:
             rr = RiskRegion(surrogate, conic_hull(region_t), problem.beta)
@@ -252,9 +249,8 @@ def _screen_candidates(problem, source, config, seed, history):
             if best_key is None or key < best_key:
                 best_key = key
                 ret = float(x @ problem.mu)
-                obj = cvar if problem.mode == P1 else problem.lam * cvar + (1 - problem.lam) * (-ret)
-                best = Solution(x, obj, cvar, ret, "optimal", z=z, seed=int(seed),
-                                scenario_count=validation.n)
+                best = Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", z=z,
+                                seed=int(seed), scenario_count=validation.n)
     return best
 
 

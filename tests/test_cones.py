@@ -36,6 +36,11 @@ class TestFeasibleRegion:
         with pytest.raises(ConfigError):
             FeasibleRegion(2, 1.0, upper=[0.3, 0.3])
 
+    def test_rejects_region_empty_by_a_hair(self):
+        # the bounds sum 1e-8 short of the budget: empty, though only just
+        with pytest.raises(ConfigError):
+            FeasibleRegion(2, 1.0, upper=[0.5, 0.5 - 1e-8])
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigError):
             FeasibleRegion(2, 1.0, lower=[0.5, 0.5], upper=[0.4, 1.0])

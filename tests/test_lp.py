@@ -35,6 +35,30 @@ def test_infeasible():
     assert res.status == "infeasible"
 
 
+@pytest.mark.parametrize("c, kwargs", [
+    # the bounds sum 1e-8 short of the equality
+    ([1.0, 0.0], dict(A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0, 0.5), (0, 0.5 - 1e-8)])),
+    # a row 5e-8 below what x >= 0 allows
+    ([0.0, 0.0], dict(A_ub=[[1.0, 1.0]], b_ub=[-5e-8])),
+    # a lower bound 1e-8 above the upper one
+    ([0.0], dict(bounds=[(0.5 + 1e-8, 0.5)])),
+], ids=["bounds-short-of-equality", "row-below-bounds", "crossed-bounds"])
+def test_infeasible_by_a_hair(c, kwargs):
+    assert lp.solve(c, **kwargs).status == "infeasible"
+
+
+def test_duplicated_equality_row():
+    c = [1.0, -2.0, 0.5]
+    A_eq = [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]]
+    b_eq = [1.0, 0.2, 1.0]
+    bounds = [(0, 1)] * 3
+    ref = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = lp.solve(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert res.x == pytest.approx(ref.x, abs=1e-9)
+
+
 def test_unbounded():
     res = lp.solve([-1.0], A_ub=None, b_ub=None)
     assert res.status == "unbounded"
@@ -80,6 +104,9 @@ def test_matches_scipy_on_random_lps(trial):
             assert np.all(A_ub @ mine.x <= b_ub + 1e-7)
         if A_eq is not None:
             assert np.allclose(A_eq @ mine.x, b_eq, atol=1e-7)
+        lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
+        hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+        assert np.all((mine.x >= lo - 1e-9) & (mine.x <= hi + 1e-9))
     elif ref.status == 2:
         # HiGHS occasionally labels feasible-unbounded models infeasible;
         # accept either as long as we never claim optimal.
