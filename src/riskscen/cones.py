@@ -57,8 +57,13 @@ class FeasibleRegion:
             raise ConfigError("inequality rows and right-hand sides do not match")
         if not np.all(np.isfinite(A)) or not np.all(np.isfinite(bb)):
             raise ConfigError("inequality rows must be finite")
-        lo = np.zeros(d) if self.lower is None else np.asarray(self.lower, dtype=float) + np.zeros(d)
-        up = np.full(d, self.capital) if self.upper is None else np.asarray(self.upper, dtype=float) + np.zeros(d)
+        lower = 0.0 if self.lower is None else self.lower
+        upper = self.capital if self.upper is None else self.upper
+        try:  # a scalar bound applies to every asset; + 0.0 copies the read-only view
+            lo = np.broadcast_to(np.asarray(lower, dtype=float), d) + 0.0
+            up = np.broadcast_to(np.asarray(upper, dtype=float), d) + 0.0
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bounds need a scalar or one entry per asset: {exc}") from exc
         if np.any(lo < 0):
             raise ConfigError("lower bounds must be nonnegative (no short selling)")
         if np.any(lo > up):
@@ -107,11 +112,11 @@ class FeasibleRegion:
         try:
             d = int(spec["d"])
             capital = float(spec.get("capital", 1.0))
+            rows = spec.get("rows", [])
+            A = np.array([r["a"] for r in rows], dtype=float) if rows else None
+            b = np.array([r["b"] for r in rows], dtype=float) if rows else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad feasible-region spec: {exc}") from exc
-        rows = spec.get("rows", [])
-        A = np.array([r["a"] for r in rows], dtype=float) if rows else None
-        b = np.array([r["b"] for r in rows], dtype=float) if rows else None
         return cls(d, capital, A, b, spec.get("lower"), spec.get("upper"))
 
     def to_dict(self) -> dict:
@@ -309,9 +314,12 @@ def _passive_solve(Q, A, B, AtB, passive):
     M = np.where(both, Q[cols[:, :, None], cols[:, None, :]], np.eye(p))
     M[:, np.arange(p), np.arange(p)] += _EPS * np.diagonal(Q).max(initial=0.0) * valid
     S = np.zeros(passive.shape)
-    s = np.linalg.solve(M, (AtB[rows, cols] * valid)[..., None])[..., 0]
-    S[rows, cols] = s
-    s += np.linalg.solve(M, (((B - S @ A.T) @ A)[rows, cols] * valid)[..., None])[..., 0]
+    try:
+        s = np.linalg.solve(M, (AtB[rows, cols] * valid)[..., None])[..., 0]
+        S[rows, cols] = s
+        s += np.linalg.solve(M, (((B - S @ A.T) @ A)[rows, cols] * valid)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"NNLS passive system is singular: {exc}") from exc
     S[rows, cols] = s
     return S
 

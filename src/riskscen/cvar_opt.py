@@ -12,9 +12,10 @@ The cutting-plane master LP lives on [x, t] only: the region rows, the
 budget, the box, the P1 return floor and the cuts t >= g'x. Discrete CVaR of
 -x'y is convex and positively homogeneous in x (Kuenzi-Bay & Mayer,
 Comput. Manag. Sci. 3 (2006)), so each subgradient g gives a cut with no
-intercept that holds at every x and in every branch-and-bound node. The
-master grows one row per cut and is re-solved warm (lp.Tableau.add_rows),
-so its size does not depend on the scenario count.
+intercept that holds at every x, and a branch-and-bound child keeps every
+cut of its parent's master. The master grows one row per cut and is
+re-solved warm (lp.Tableau.add_rows), so its size does not depend on the
+scenario count.
 """
 
 from __future__ import annotations
@@ -230,17 +231,13 @@ def _on_x(A, t_coeff: float = 0.0) -> np.ndarray:
 
 @dataclass
 class _Node:
-    """A certified master: its best point, that point's value and the bound.
-
-    `have` lists the pool cuts already rows of `tableau`.
-    """
+    """A certified master: its best point, that point's value and the bound."""
 
     status: str
     x: np.ndarray | None = None
     value: float = np.inf
     bound: float = -np.inf
     tableau: lp.Tableau | None = None
-    have: set = None
 
 
 class _CuttingPlane:
@@ -248,8 +245,8 @@ class _CuttingPlane:
 
     The master minimizes weight * t + lin'x, the objective with CVaR replaced
     by t (lin carries P3's return term and the tie-break that picks the same
-    vertex among equal optima). Every cut enters one pool shared by all
-    masters built from this object.
+    vertex among equal optima). Each master holds the cuts taken at its own
+    points and at those of the masters it was copied from.
     """
 
     def __init__(self, problem: PortfolioProblem, scenarios: ScenarioSet):
@@ -259,12 +256,7 @@ class _CuttingPlane:
         self.lin = _TIE_BREAK * np.arange(1, d + 1)
         if problem.mode == P3:
             self.lin = self.lin - (1.0 - problem.lam) * problem.mu
-        self.pool = np.zeros((0, d))
         self.cap = _CUTS_PER_DIM * (d + 1)
-
-    def _add_cut(self, g) -> int:
-        self.pool = np.vstack([self.pool, g])
-        return self.pool.shape[0] - 1
 
     def root(self, upper, A=None, b=None) -> _Node:
         """Certify the first master: box up to `upper`, extra rows A x <= b.
@@ -274,8 +266,7 @@ class _CuttingPlane:
         """
         problem, region = self.problem, self.problem.region
         d = region.d
-        first = self._add_cut(cvar_subgradient(self.scenarios, np.full(d, region.capital / d),
-                                                problem.beta))
+        first = cvar_subgradient(self.scenarios, np.full(d, region.capital / d), problem.beta)
         rows, rhs = [region.A], [region.b]
         if problem.mode == P1:
             rows.append([-problem.mu])
@@ -284,50 +275,40 @@ class _CuttingPlane:
             rows.append(A)
             rhs.append(b)
         res = lp.solve(np.append(self.lin, self.weight),
-                       np.vstack([_on_x(np.vstack(rows)), _on_x(self.pool[first], -1.0)]),
+                       np.vstack([_on_x(np.vstack(rows)), _on_x(first, -1.0)]),
                        np.append(np.concatenate(rhs), 0.0),
                        _on_x(np.ones(d)), [region.capital],
                        list(zip(region.lower, upper)) + [(None, None)])
         if res.status == "unbounded":
             raise SolverError("CVaR master LP is unbounded; the model is malformed")
-        return self.certify(res, {first})
+        return self.certify(res)
 
     def branch(self, node: _Node, A, b) -> _Node:
         """Certify a copy of a certified master with the rows A x <= b added."""
-        res = node.tableau.copy().add_rows(_on_x(A), b)
-        return self.certify(res, set(node.have))
+        return self.certify(node.tableau.copy().add_rows(_on_x(A), b))
 
-    def certify(self, res: lp.LpResult, have: set) -> _Node:
+    def certify(self, res: lp.LpResult) -> _Node:
         """Add cuts until best - bound <= GAP_TOL (1 + |best|).
 
-        Each round first appends the pool cuts the master point violates;
-        when none does, it evaluates the objective there (every master
+        Each round evaluates the objective at the master point (every master
         point is feasible) and, short of the gap, adds the cut at that point.
         """
         d = self.problem.d
         best, x_best = np.inf, None
         new = 0
         while res.status == "optimal":
-            x, t, bound = res.x[:d], res.x[d], res.objective
-            out = np.array([k for k in range(self.pool.shape[0]) if k not in have], dtype=int)
-            violated = out[self.pool[out] @ x - t > GAP_TOL * (1.0 + abs(t))]
-            if violated.size:
-                have.update(int(k) for k in violated)
-                res = res.tableau.add_rows(_on_x(self.pool[violated], -1.0),
-                                           np.zeros(violated.size))
-                continue
+            x, bound = res.x[:d], res.objective
             losses, var, cvar = _loss_tail(self.scenarios, x, self.problem.beta)
             value = self.weight * cvar + float(self.lin @ x)
             if value < best:
                 best, x_best = value, x
             if best - bound <= GAP_TOL * (1.0 + abs(best)):
-                return _Node("optimal", x_best, best, bound, res.tableau, have)
+                return _Node("optimal", x_best, best, bound, res.tableau)
             if new == self.cap:
                 return _Node("iteration-limit")
-            k = self._add_cut(_tail_subgradient(self.scenarios, losses, var, self.problem.beta))
-            have.add(k)
+            g = _tail_subgradient(self.scenarios, losses, var, self.problem.beta)
             new += 1
-            res = res.tableau.add_rows(_on_x(self.pool[k], -1.0), [0.0])
+            res = res.tableau.add_rows(_on_x(g, -1.0), [0.0])
         return _Node(res.status)
 
 
@@ -438,8 +419,10 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     optimal value as equality. A child is its parent's certified master plus
     one row: x_j <= 0 for z0, its own slot row for z1 (the parent's stays,
     implied by it); a slot row with no fewer slots than free assets is
-    redundant but valid. The node bound is the certified master bound; the
-    cut pool is shared by all nodes.
+    redundant but valid. The node bound is the certified master bound, and
+    a node's master holds only its own cuts and its ancestors', so its
+    result does not depend on the order in which other nodes ran. The first
+    incumbent comes from the first node popped whose support fits the limit.
     """
     card = problem.cardinality
     if card is None:
@@ -481,18 +464,6 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     if root.status != "optimal":
         return failed(root)
     solves = 1
-
-    # Greedy incumbent: restrict to the l largest relaxation positions.
-    order = np.argsort(-root.x / np.maximum(caps, 1e-12))
-    out = np.sort(order[l:])
-    greedy = cutting.branch(root, np.eye(d)[out], np.zeros(out.size)) if out.size else root
-    solves += 1
-    if greedy.status == "iteration-limit":
-        return failed(greedy)
-    if greedy.status == "optimal":
-        incumbent_val = greedy.value
-        incumbent = _finish(problem, scenarios, greedy.x, z=z_vector(support_of(greedy.x)),
-                            lp_objective=greedy.bound)
 
     heapq.heappush(heap, (root.bound, counter, frozenset(), frozenset(), root))
     while heap:

@@ -437,10 +437,11 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
 # ad-hoc debugging commands
 
 
-def _points_from(config: dict) -> np.ndarray:
+def _points_from(config: dict, d: int) -> np.ndarray:
+    """The config's points, one row of d coordinates each."""
     if "points" in config:
-        return np.atleast_2d(np.asarray(config["points"], dtype=float))
-    if "points_csv" in config:
+        pts = np.atleast_2d(np.asarray(config["points"], dtype=float))
+    elif "points_csv" in config:
         path = Path(config["points_csv"])
         rows = []
         with path.open(encoding="utf-8") as fh:
@@ -457,8 +458,12 @@ def _points_from(config: dict) -> np.ndarray:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-        return np.asarray(rows)
-    raise ConfigError("need 'points' or 'points_csv'")
+        pts = np.asarray(rows)
+    else:
+        raise ConfigError("need 'points' or 'points_csv'")
+    if pts.shape[1] != d:
+        raise ConfigError(f"points have {pts.shape[1]} coordinates, the cone has {d}")
+    return pts
 
 
 def _cone_from(config: dict) -> Cone:
@@ -475,7 +480,7 @@ def _cone_from(config: dict) -> Cone:
 
 def run_project(config: dict, seed: int, out: Path) -> str:
     cone = _cone_from(config)
-    pts = _points_from(config)
+    pts = _points_from(config, cone.d)
     lines = []
     for y in pts:
         t0 = time.perf_counter()
@@ -502,7 +507,7 @@ def run_classify(config: dict, seed: int, out: Path) -> str:
                                       dspec.get("nu"))
     beta = float(config.get("beta", 0.95))
     region = RiskRegion(dist, cone, beta)
-    pts = _points_from(config)
+    pts = _points_from(config, cone.d)
     lines = [f"threshold q_beta = {region.threshold:.8g}"]
     for y in pts:
         if not np.all(np.isfinite(y)):

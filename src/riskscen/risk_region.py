@@ -195,7 +195,6 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
 
     With v = -z, exact shortcuts, none of which can change the partition:
       - ||v|| below the cutoff implies non-risk (projection is non-expansive);
-      - v already in K' makes the projection trivial;
       - the rays of K' and of its polar in the region's archive bound
         ||p_{K'}(v)|| from below and above (see _RayArchive); a bound that
         clears the cutoff by 1e-9 (1 + ||v||) decides the point;
@@ -221,13 +220,6 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
         return risk
 
     vnorm = np.linalg.norm(V, axis=1)
-    decided = vnorm < cutoff  # non-risk
-    Kp = region.image_cone
-    if Kp.facets is not None and Kp.facets.shape[0] > 0:
-        inside = np.all(V @ Kp.facets.T >= 0.0, axis=1) & ~decided
-        risk[inside] = True  # ||v|| >= cutoff
-        decided |= inside
-
     archive = region._archive
     margin = 1e-9 * (1.0 + vnorm)
     risk_at = cutoff + margin  # risk once the lower bound reaches this
@@ -236,7 +228,7 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
     lb = np.full(n, -np.inf)  # running max of u'v over K' rays
     g = np.zeros(n)  # running max of max(0, w'v) over polar rays
     seen_k = seen_p = seen_n = 0  # archive entries every pending point was screened against
-    pending = np.flatnonzero(~decided)
+    pending = np.flatnonzero(vnorm >= cutoff)  # the rest is non-risk
     while pending.size:
         Vp = V[pending]
         lb[pending] = np.maximum(lb[pending], _max_dot(Vp, archive.kray[seen_k:]))

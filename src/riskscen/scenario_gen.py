@@ -43,39 +43,13 @@ class AggSampleReport:
     center_in_risk: bool = False
 
 
-class _ChunkStream:
-    """Sequential draw stream with a fixed chunk schedule."""
-
-    def __init__(self, sampler, seed: int, chunk: int = CHUNK):
-        self._sampler = sampler
-        self._rng = rng_from(seed)
-        self._chunk = chunk
-        self._buf = sampler.draw(self._rng, chunk)
-        self._pos = 0
-
-    def peek(self) -> np.ndarray:
-        """Unconsumed remainder of the current chunk (refills when empty)."""
-        if self._pos == self._buf.shape[0]:
-            self._buf = self._sampler.draw(self._rng, self._chunk)
-            self._pos = 0
-        return self._buf[self._pos :]
-
-    def advance(self, k: int) -> None:
-        self._pos += k
-
-    def next_point(self) -> np.ndarray:
-        pts = self.peek()
-        self._pos += 1
-        return pts[0]
-
-
-def raw_stream(sampler, seed: int, n_draws: int, chunk: int = CHUNK) -> np.ndarray:
+def raw_stream(sampler, seed: int, n_draws: int) -> np.ndarray:
     """First n_draws points of the chunked stream aggregation sampling consumes."""
     rng = rng_from(seed)
     out = []
     got = 0
     while got < n_draws:
-        pts = sampler.draw(rng, chunk)
+        pts = sampler.draw(rng, CHUNK)
         out.append(pts)
         got += pts.shape[0]
     return np.vstack(out)[:n_draws]
@@ -93,23 +67,22 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
         raise ConfigError("need a positive risk-scenario target")
     if getattr(sampler, "dim", region.d) != region.d:
         raise ConfigError("sampler dimension does not match the region")
-    stream = _ChunkStream(sampler, seed)
+    rng = rng_from(seed)
     d = region.d
     risk_points: list[np.ndarray] = []
     n_risk = 0
     n_nonrisk = 0
     center = np.zeros(d)
-    while n_risk < n_risk_target:
-        pts = stream.peek()
+    while n_risk < n_risk_target:  # every chunk is whole; only the last is cut short
+        pts = sampler.draw(rng, CHUNK)
         mask = classify_mask(region, pts)
         need = n_risk_target - n_risk
         cum = np.cumsum(mask)
-        if cum.size and cum[-1] >= need:
+        if cum[-1] >= need:
             take = int(np.searchsorted(cum, need)) + 1
         else:
             take = pts.shape[0]
         taken, tmask = pts[:take], mask[:take]
-        stream.advance(take)
         if tmask.any():
             risk_points.append(taken[tmask])
             n_risk += int(tmask.sum())
@@ -120,7 +93,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
 
     center_in_risk = False
     if n_nonrisk == 0:
-        center = stream.next_point()
+        center = pts[take] if take < len(pts) else sampler.draw(rng, CHUNK)[0]
         n_nonrisk = 1
     elif classify_mask(region, center[None, :])[0]:
         center_in_risk = True

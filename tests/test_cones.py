@@ -199,6 +199,27 @@ class TestNnls:
         with pytest.raises(SolverError, match="1 of 2 rows"):
             nnls(A, B)
 
+    def test_rank_deficient_problems_certify_or_raise_solver_error(self):
+        # singular values 1 ... 1e-6 on rank r, then zeros: some passive systems
+        # are exactly singular, which must surface as SolverError
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, n = int(rng.integers(3, 13)), int(rng.integers(2, 30))
+            r = int(rng.integers(1, min(m, n) + 1))
+            U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            sv = np.zeros((m, n))
+            sv[np.arange(r), np.arange(r)] = np.logspace(0, -6, r)
+            A, b = U @ sv @ V.T, rng.standard_normal(m)
+            try:
+                lam = nnls(A, b)
+            except SolverError:
+                continue
+            w = A.T @ (b - A @ lam)
+            scale = np.linalg.norm(b) * np.linalg.norm(A, axis=0).max()
+            assert lam.min() >= 0.0 and w.max() <= cones.NNLS_CERT_TOL * scale
+            assert abs(lam @ w) <= cones.NNLS_CERT_TOL * (b @ b)
+
 
 class TestBatchedProjector:
     @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -1,6 +1,7 @@
 """Discrete CVaR, the auxiliary LP, the exact solver, and branch-and-bound."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from scipy.optimize import linprog
 
 from oracles import (cvar_at, cvar_subgradient_at, elliptical_objective_oracle, ru_lp_oracle,
                      simplex_cvar_oracle, var_at)
+from riskscen import cvar_opt
 from riskscen.cones import FeasibleRegion, conic_hull
 from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, cvar_subgradient,
                                discrete_cvar, discrete_var, solve_cardinality,
                                solve_exact_elliptical, solve_lp)
-from riskscen.distributions import EllipticalDistribution, ScenarioSet, fit_from_returns, sample
+from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
+                                    fit_from_returns, sample)
 from riskscen.errors import ConfigError
 from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.scenario_gen import aggregation_reduction, aggregation_sampling
-from riskscen.synthetic import synthetic_returns
+from riskscen.synthetic import skewed_scenarios, synthetic_returns
 
 
 def equal_losses(losses):
@@ -468,6 +471,29 @@ class TestCardinality:
         assert sol.objective == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
         assert np.count_nonzero(np.abs(sol.x) > 1e-9) <= l
         assert region.contains(sol.x, tol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_root_within_the_limit_ends_without_branching(self, monkeypatch, seed):
+        # every node is its parent's master plus one row, so a root whose
+        # support already fits the limit is the answer and nothing is branched
+        base = skewed_scenarios(12, 3000, 5)
+        scen = sample(EmpiricalDistribution(base), 200, seed)
+        problem = PortfolioProblem(FeasibleRegion(12, 1.0), 0.99, mu=base.probs @ base.points,
+                                   cardinality=Cardinality(4))
+        branches = []
+        branch = cvar_opt._CuttingPlane.branch
+
+        def counted(self, *args):
+            branches.append(args)
+            return branch(self, *args)
+
+        monkeypatch.setattr(cvar_opt._CuttingPlane, "branch", counted)
+        sol = solve_cardinality(problem, scen)
+        assert branches == []
+        assert sol.status == "optimal" and sol.z.sum() <= 4
+        relaxed = solve_lp(replace(problem, cardinality=None), scen)
+        assert sol.objective == pytest.approx(relaxed.objective,
+                                              abs=2e-9 * (1.0 + abs(relaxed.objective)))
 
     def test_infeasible_when_caps_cannot_reach_budget(self):
         problem = PortfolioProblem(

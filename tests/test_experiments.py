@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from riskscen import cli
 from riskscen.cones import ConeProjector, FeasibleRegion, conic_hull
 from riskscen.distributions import EllipticalDistribution, load_scenarios
 from riskscen.errors import ConfigError
@@ -263,6 +264,22 @@ class TestCli:
         res = self._run("project", "--config", str(cfg), "--seed", "1")
         assert res.returncode == 0
         assert "projection" in res.stdout
+
+    @pytest.mark.parametrize("command, config", [
+        ("project", {"region": {"d": 2, "rows": [{"b": 0.5}]}, "points": [[1.0, 0.0]]}),
+        ("project", {"region": {"d": 2, "upper": [0.6, 0.6, 0.6]}, "points": [[1.0, 0.0]]}),
+        ("project", {"cone": {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]},
+                     "points": [[1.0, 0.0, 2.0]]}),
+        ("classify", {"cone": {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]},
+                      "distribution": {"mu": [0.0, 0.0], "factor": [[1.0, 0.0], [0.0, 1.0]]},
+                      "points": [[1.0, 0.0, 2.0]]}),
+    ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestDeterminism:
