@@ -74,14 +74,12 @@ class FeasibleRegion:
         object.__setattr__(self, "b", bb)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        if lp.find_feasible_point(
-            A_ub=A if A.size else None,
-            b_ub=bb if bb.size else None,
-            A_eq=np.ones((1, d)),
-            b_eq=np.array([self.capital]),
-            bounds=list(zip(lo, up)),
-        ) is None:
+        probe = lp.solve(np.zeros(d), A_ub=A, b_ub=bb, A_eq=np.ones((1, d)),
+                         b_eq=np.array([self.capital]), bounds=list(zip(lo, up)))
+        if probe.status == "infeasible":
             raise ConfigError("feasible region is empty")
+        if probe.status != "optimal":
+            raise SolverError(f"feasibility probe failed: {probe.status}")
 
     @property
     def m(self) -> int:
@@ -177,15 +175,23 @@ class Cone:
         return json.dumps(doc)
 
     @classmethod
+    def from_dict(cls, doc: dict) -> "Cone":
+        """Cone from a {"d", "generators"?, "facets"?} document (the to_json layout)."""
+        try:
+            d = int(doc["d"])
+            gens, facets = (None if doc.get(key) is None else np.array(doc[key], dtype=float)
+                            for key in ("generators", "facets"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad cone document: {exc}") from exc
+        return cls(d, gens, facets)
+
+    @classmethod
     def from_json(cls, text: str) -> "Cone":
         try:
             doc = json.loads(text)
-            d = int(doc["d"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"bad cone document: {exc}") from exc
-        gens = np.array(doc["generators"], dtype=float) if "generators" in doc else None
-        facets = np.array(doc["facets"], dtype=float) if "facets" in doc else None
-        return cls(d, gens, facets)
+        return cls.from_dict(doc)
 
 
 def conic_hull(region: FeasibleRegion) -> Cone:

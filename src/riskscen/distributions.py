@@ -410,28 +410,42 @@ def fit_from_returns(returns, family: str, nu: float = 4.0, weights=None) -> Ell
     return EllipticalDistribution(family, mu, P, nu_checked)
 
 
+def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
+    """Numeric CSV: an optional header row, then rows of floats of one width.
+
+    Returns (header or None, (n, width) array). Blank lines are skipped. A
+    ragged row or a non-numeric field raises ConfigError naming path:line,
+    as does a file that cannot be opened or decoded.
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
+            names = next(lines, None) if header else None
+            if header and names is None:
+                raise ConfigError(f"{path}: empty file")
+            width = None if names is None else len(names)
+            rows = []
+            for row in lines:  # convert as we go: string rows would cost a second copy
+                width = width or len(row)
+                if len(row) != width:
+                    raise ConfigError(f"{path}:{reader.line_num}: expected {width} fields, "
+                                      f"got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    return names, np.asarray(rows, dtype=float)
+
+
 def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
     """Returns CSV: ticker header row, one row of decimal returns per month."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty returns file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no return rows")
-    return header, np.asarray(rows, dtype=float)
+    return read_csv(path)
 
 
 def save_scenarios(scenarios: ScenarioSet, path) -> None:
@@ -445,33 +459,15 @@ def save_scenarios(scenarios: ScenarioSet, path) -> None:
 
 
 def load_scenarios(path) -> ScenarioSet:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty scenario file") from None
-        if not header or header[0].strip().lower() != "prob":
-            raise ConfigError(f"{path}:1: first column must be 'prob'")
-        probs, points = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                probs.append(float(row[0]))
-                points.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not probs:
-        raise ConfigError(f"{path}: no scenarios")
-    pr = np.asarray(probs)
+    """Scenario CSV as written by save_scenarios: a `prob` column, then the outcomes."""
+    header, data = read_csv(path)
+    if header[0].strip().lower() != "prob":
+        raise ConfigError(f"{path}:1: first column must be 'prob'")
+    pr = data[:, 0].copy()
     if np.any(pr < 0):
         raise ConfigError(f"{path}: negative scenario probability")
     if abs(pr.sum() - 1.0) > 1e-9:
         raise ConfigError(f"{path}: probabilities sum to {pr.sum()}, expected 1")
     if abs(pr.sum() - 1.0) > 1e-12:
         pr = pr / pr.sum()  # absorb sub-1e-9 rounding so the set invariant holds
-    return ScenarioSet(np.asarray(points), pr, source="file")
+    return ScenarioSet(data[:, 1:].copy(), pr, source="file")

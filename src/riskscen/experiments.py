@@ -1,11 +1,14 @@
 """Experiment drivers behind the CLI: desk-scale reproductions.
 
-Each experiment reads a JSON config, derives every random stream from the
-master seed, and writes CSV tables (rows = trials, labeled columns) whose
-numeric content is byte-identical across reruns of the same (config, seed).
-Output files start with comment lines carrying the generator version, the
-master seed, and a hash of the config. Cells are independent, so trials can
-fan out over worker processes; files are written atomically.
+Each driver reads its whole JSON config before any work, so a missing or
+malformed value raises ConfigError and leaves no output behind. It then
+derives every random stream from the master seed and writes CSV tables
+(rows = trials, labeled columns) whose numeric content is byte-identical
+across reruns of the same (config, seed). Output files start with comment
+lines carrying the run's provenance: generator version, rng, master seed and
+a hash of the config. The grid drivers run one independent cell per
+(dimension, trial); cells take plain values, not the config, so they can fan
+out over worker processes. Files are written atomically.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +28,9 @@ import numpy as np
 from .cones import Cone, FeasibleRegion, conic_hull, project
 from .cvar_opt import (P1, Cardinality, PortfolioProblem, discrete_cvar,
                        solve_exact_elliptical, solve_lp)
-from .distributions import (EllipticalDistribution, EmpiricalDistribution,
+from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                             fit_from_returns, load_returns_csv, load_scenarios,
-                            portfolio_loss_stats, sample)
+                            portfolio_loss_stats, read_csv, sample)
 from .errors import ConfigError
 from .risk_region import BOUNDARY_TOL, RiskRegion, estimate_nonrisk_prob
 from .saa import MODES, SaaConfig, run_saa, write_history
@@ -58,18 +63,26 @@ def git_describe() -> str:
     return f"riskscen-{__version__}"
 
 
-def config_hash(config: dict) -> str:
+def provenance(config: dict, seed: int) -> dict:
+    """Generator version, rng, master seed and config hash of one run."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return {"generator": f"riskscen {git_describe()}", "rng": GENERATOR_NAME,
+            "seed": int(seed), "config_hash": hashlib.sha256(canon.encode()).hexdigest()}
 
 
-def header_lines(config: dict, seed: int) -> list[str]:
-    return [
-        f"# generator: riskscen {git_describe()}",
-        f"# rng: {GENERATOR_NAME}",
-        f"# seed: {seed}",
-        f"# config-hash: {config_hash(config)}",
-    ]
+@contextmanager
+def _reading(what: str):
+    """Report a missing or malformed config value as ConfigError.
+
+    Wrap only lookups and conversions of config values, never package
+    computations, so a program fault is never reported as a config error.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what}: {exc} is missing or unknown") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -78,8 +91,8 @@ def atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_table(path: Path, meta: list[str], columns: list[str], rows: list[list]) -> None:
-    lines = list(meta)
+def write_table(path: Path, prov: dict, columns: list[str], rows: list[list]) -> None:
+    lines = [f"# {key.replace('_', '-')}: {value}" for key, value in prov.items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -94,28 +107,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _run_cells(fn, specs: list, jobs: int) -> list:
-    if jobs <= 1 or len(specs) <= 1:
-        return [fn(spec) for spec in specs]
+def _grid(cell, dims: list[int], trials: int, jobs: int) -> dict:
+    """{(d, trial): cell(d, trial)} over every dimension and trial, on up to `jobs` processes."""
+    keys = [(d, trial) for d in dims for trial in range(trials)]
+    if jobs <= 1 or len(keys) <= 1:
+        return {key: cell(*key) for key in keys}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, specs))
+        return dict(zip(keys, pool.map(cell, *zip(*keys))))
 
 
 # ---------------------------------------------------------------------------
 # distribution sources
 
 
-def _universe(config: dict, seed: int):
-    """(tickers, return matrix) for company subsetting across trials."""
-    src = config.get("source", {"synthetic": {}})
+def _universe_loader(src: dict, dims: list[int], seed: int):
+    """The call that builds the (tickers, return matrix) universe a 'source' entry names.
+
+    Trials fit their distributions to column subsets of this universe.
+    """
     if "returns_csv" in src:
-        return load_returns_csv(src["returns_csv"])
+        return partial(load_returns_csv, src["returns_csv"])
     if "synthetic" in src:
         opts = src["synthetic"] or {}
-        dims = config.get("dimensions", [config.get("d", 5)])
         width = int(opts.get("universe", max(30, 3 * max(dims))))
         months = int(opts.get("months", 240))
-        return synthetic_returns(width, months, child_seed(seed, _T_SUBSET, 0))
+        return partial(synthetic_returns, width, months, child_seed(seed, _T_SUBSET, 0))
     raise ConfigError("source must provide 'returns_csv' or 'synthetic'")
 
 
@@ -124,13 +140,13 @@ def _trial_columns(seed: int, trial: int, d: int, width: int) -> np.ndarray:
     return np.sort(rng.choice(width, size=d, replace=False))
 
 
-def _trial_distribution(config, seed, trial, d, universe) -> EllipticalDistribution:
+def _trial_distribution(universe, family: str, nu: float, seed: int, d: int,
+                        trial: int) -> EllipticalDistribution:
     _, returns = universe
     if returns.shape[1] < d:
         raise ConfigError(f"universe has {returns.shape[1]} assets, trial needs {d}")
     cols = _trial_columns(seed, trial, d, returns.shape[1])
-    family = config.get("family", "normal")
-    return fit_from_returns(returns[:, cols], family, nu=float(config.get("nu", 4.0)))
+    return fit_from_returns(returns[:, cols], family, nu=nu)
 
 
 def _quota_region(d: int, quota: float, capital: float = 1.0) -> FeasibleRegion:
@@ -145,35 +161,35 @@ def _quota_region(d: int, quota: float, capital: float = 1.0) -> FeasibleRegion:
 
 def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
     """Monte Carlo non-risk probabilities over (trial, quota, beta) grids."""
-    dims = [int(v) for v in config.get("dimensions", [5])]
-    betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
-    quotas = [float(v) for v in config.get("quotas", [1.0])]
-    trials = int(config.get("trials", 5))
-    n_points = int(config.get("n_points", 2000))
+    with _reading("prob-table config"):
+        dims = [int(v) for v in config.get("dimensions", [5])]
+        betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
+        quotas = [float(v) for v in config.get("quotas", [1.0])]
+        trials = int(config.get("trials", 5))
+        n_points = int(config.get("n_points", 2000))
+        family = config.get("family", "normal")
+        fam = _FAMILY_TAG[family]
+        nu = float(config.get("nu", 4.0))
+        load_universe = _universe_loader(config.get("source", {"synthetic": {}}), dims, seed)
     for d in dims:
         for q in quotas:
             _quota_region(d, q)  # validate feasibility up front
-    universe = _universe(config, seed)
-    fam = _FAMILY_TAG[config.get("family", "normal")]
-    meta = header_lines(config, seed)
-
-    specs = [(config, seed, trial, d, betas, quotas, n_points, universe)
-             for d in dims for trial in range(trials)]
-    results = dict(zip([(s[3], s[2]) for s in specs], _run_cells(_prob_cell, specs, jobs)))
+    prov = provenance(config, seed)
+    cell = partial(_prob_cell, load_universe(), family, nu, seed, betas, quotas, n_points)
+    results = _grid(cell, dims, trials, jobs)
 
     paths = []
     for d in dims:
         columns = ["trial"] + [f"q{q:g}_b{b:g}" for q in quotas for b in betas]
         rows = [[t + 1] + results[(d, t)] for t in range(trials)]
         path = out / f"prob-table-{fam}_{d}.csv"
-        write_table(path, meta, columns, rows)
+        write_table(path, prov, columns, rows)
         paths.append(path)
     return paths
 
 
-def _prob_cell(spec):
-    config, seed, trial, d, betas, quotas, n_points, universe = spec
-    dist = _trial_distribution(config, seed, trial, d, universe)
+def _prob_cell(universe, family, nu, seed, betas, quotas, n_points, d, trial):
+    dist = _trial_distribution(universe, family, nu, seed, d, trial)
     values = []
     for qi, q in enumerate(quotas):
         cone = conic_hull(_quota_region(d, q))
@@ -197,28 +213,36 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
     elliptical solver, or from a large reference sample for empirical
     sources.
     """
-    nsets = int(config.get("sets", 50))
-    beta = float(config.get("beta", 0.95))
-    target = int(config.get("n_risk_target", 100))
-    match_effective = bool(config.get("match_effective", False))
-    quota = float(config.get("quota", 1.0))
-    empirical = "scenario_csv" in config.get("source", {})
+    with _reading("stability config"):
+        nsets = int(config.get("sets", 50))
+        beta = float(config.get("beta", 0.95))
+        target = int(config.get("n_risk_target", 100))
+        match_effective = bool(config.get("match_effective", False))
+        quota = float(config.get("quota", 1.0))
+        override = config.get("threshold_override")
+        threshold = None if override is None else float(override)
+        nu = float(config.get("nu", 4.0))
+        reference_n = int(config.get("reference_n", 200_000))
+        src = config.get("source", {"synthetic": {}})
+        empirical = "scenario_csv" in src
+        if empirical:
+            scenario_csv = src["scenario_csv"]
+            family = config.get("family", "student-t")
+        else:
+            dims = [int(v) for v in config.get("dimensions", [10])]
+            trials = int(config.get("trials", 1))
+            family = config.get("family", "normal")
+            fam = _FAMILY_TAG[family]
+            load_universe = _universe_loader(src, dims, seed)
     if empirical:
-        scen = load_scenarios(config["source"]["scenario_csv"])
-        dims = [scen.d]
-        trials = 1
-        universe = None
-        fam = "empirical"
+        source = load_scenarios(scenario_csv)
+        dims, trials, fam = [source.d], 1, "empirical"
     else:
-        dims = [int(v) for v in config.get("dimensions", [10])]
-        trials = int(config.get("trials", 1))
-        universe = _universe(config, seed)
-        fam = _FAMILY_TAG[config.get("family", "normal")]
-    meta = header_lines(config, seed)
-
-    specs = [(config, seed, trial, d, beta, target, nsets, match_effective, quota, universe)
-             for d in dims for trial in range(trials)]
-    results = dict(zip([(s[3], s[2]) for s in specs], _run_cells(_stability_cell, specs, jobs)))
+        source = load_universe()
+    prov = provenance(config, seed)
+    cell = partial(_stability_cell, source, family, nu, seed, beta, target, nsets,
+                   match_effective, quota, threshold, reference_n)
+    results = _grid(cell, dims, trials, jobs)
 
     paths = []
     for d in dims:
@@ -231,35 +255,31 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
             gap_rows.extend([[t + 1, i + 1, "sampling", g] for i, g in enumerate(basic)])
             gap_rows.extend([[t + 1, i + 1, "aggregation", g] for i, g in enumerate(agg)])
         path = out / f"stability-{fam}_{d}.csv"
-        write_table(path, meta, columns, rows)
+        write_table(path, prov, columns, rows)
         plot = out / f"stability-gaps-{fam}_{d}.csv"
-        write_table(plot, meta, ["trial", "set", "method", "gap"], gap_rows)
+        write_table(plot, prov, ["trial", "set", "method", "gap"], gap_rows)
         paths.extend([path, plot])
     return paths
 
 
-def _stability_cell(spec):
-    config, seed, trial, d, beta, target, nsets, match_effective, quota, universe = spec
-    if universe is None:
+def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effective, quota,
+                    threshold, reference_n, d, trial):
+    """Both methods' true gaps; `source` is the return universe or an empirical ScenarioSet."""
+    empirical = isinstance(source, ScenarioSet)
+    if empirical:
         # empirical source: resample the file, grade against a large reference set
-        file_scen = load_scenarios(config["source"]["scenario_csv"])
-        sampler = EmpiricalDistribution(file_scen)
-        surrogate = fit_from_returns(file_scen.points, config.get("family", "student-t"),
-                                     nu=float(config.get("nu", 4.0)), weights=file_scen.probs)
-        region_dist = surrogate
+        sampler = EmpiricalDistribution(source)
+        region_dist = fit_from_returns(source.points, family, nu=nu, weights=source.probs)
         mu = sampler.mean
     else:
-        sampler = region_dist = _trial_distribution(config, seed, trial, d, universe)
+        sampler = region_dist = _trial_distribution(source, family, nu, seed, d, trial)
         mu = region_dist.mu
     region = _quota_region(d, quota)
     problem = PortfolioProblem(region, beta, mu=mu, mode=P1)
-    override = config.get("threshold_override")
-    rr = RiskRegion(region_dist, conic_hull(region), beta,
-                    threshold=None if override is None else float(override))
+    rr = RiskRegion(region_dist, conic_hull(region), beta, threshold=threshold)
 
-    if universe is None:
-        reference = sample(sampler, int(config.get("reference_n", 200_000)),
-                           child_seed(seed, _T_STAB, trial, d, 10**6))
+    if empirical:
+        reference = sample(sampler, reference_n, child_seed(seed, _T_STAB, trial, d, 10**6))
         truth = solve_lp(problem, reference)
 
         def true_gap(x):
@@ -289,19 +309,20 @@ def _stability_cell(spec):
 
 def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
     """Error induced by aggregation reduction, plus reduced proportions."""
-    dims = [int(v) for v in config.get("dimensions", [5])]
-    trials = int(config.get("trials", 1))
-    ns = [int(v) for v in config.get("sizes", [100, 200, 500])]
-    betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
-    nsets = int(config.get("sets", 30))
-    quota = float(config.get("quota", 1.0))
-    universe = _universe(config, seed)
-    fam = _FAMILY_TAG[config.get("family", "normal")]
-    meta = header_lines(config, seed)
-
-    specs = [(config, seed, trial, d, ns, betas, nsets, quota, universe)
-             for d in dims for trial in range(trials)]
-    results = dict(zip([(s[3], s[2]) for s in specs], _run_cells(_reduction_cell, specs, jobs)))
+    with _reading("reduction-error config"):
+        dims = [int(v) for v in config.get("dimensions", [5])]
+        trials = int(config.get("trials", 1))
+        ns = [int(v) for v in config.get("sizes", [100, 200, 500])]
+        betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
+        nsets = int(config.get("sets", 30))
+        quota = float(config.get("quota", 1.0))
+        family = config.get("family", "normal")
+        fam = _FAMILY_TAG[family]
+        nu = float(config.get("nu", 4.0))
+        load_universe = _universe_loader(config.get("source", {"synthetic": {}}), dims, seed)
+    prov = provenance(config, seed)
+    cell = partial(_reduction_cell, load_universe(), family, nu, seed, ns, betas, nsets, quota)
+    results = _grid(cell, dims, trials, jobs)
 
     paths = []
     for d in dims:
@@ -313,15 +334,14 @@ def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> li
             prop_rows.append([t + 1] + props)
         p1 = out / f"reduction-error-{fam}_{d}.csv"
         p2 = out / f"reduction-proportion-{fam}_{d}.csv"
-        write_table(p1, meta, columns, err_rows)
-        write_table(p2, meta, columns, prop_rows)
+        write_table(p1, prov, columns, err_rows)
+        write_table(p2, prov, columns, prop_rows)
         paths.extend([p1, p2])
     return paths
 
 
-def _reduction_cell(spec):
-    config, seed, trial, d, ns, betas, nsets, quota, universe = spec
-    dist = _trial_distribution(config, seed, trial, d, universe)
+def _reduction_cell(universe, family, nu, seed, ns, betas, nsets, quota, d, trial):
+    dist = _trial_distribution(universe, family, nu, seed, d, trial)
     region = _quota_region(d, quota)
     mean_errors, mean_props = [], []
     for ni, n in enumerate(ns):
@@ -353,45 +373,45 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     probability series, final out-of-sample box-plot data on a shared
     validation sample, and a summary table.
     """
-    src = config.get("source", {})
-    if "scenario_csv" in src:
-        scen = load_scenarios(src["scenario_csv"])
-    elif "synthetic_skewed" in src:
-        opts = src["synthetic_skewed"]
-        scen = skewed_scenarios(int(opts.get("d", 12)), int(opts.get("n", 3000)),
-                                child_seed(seed, _T_CASE, 0))
-    else:
-        raise ConfigError("case study needs source.scenario_csv or source.synthetic_skewed")
+    with _reading("case-study config"):
+        src = config.get("source", {})
+        if "scenario_csv" in src:
+            load_scenario_set = partial(load_scenarios, src["scenario_csv"])
+        elif "synthetic_skewed" in src:
+            opts = src["synthetic_skewed"]
+            load_scenario_set = partial(skewed_scenarios, int(opts.get("d", 12)),
+                                        int(opts.get("n", 3000)), child_seed(seed, _T_CASE, 0))
+        else:
+            raise ConfigError("case study needs source.scenario_csv or source.synthetic_skewed")
+        l = int(config.get("max_assets", 4))
+        beta = float(config.get("beta", 0.99))
+        quota = float(config.get("quota", 1.0))
+        modes = config.get("modes", list(MODES))
+        saa_over = dict(config.get("saa", {}))
+        saa_configs = [SaaConfig(mode=mode, **saa_over) for mode in modes]
+        validation_n = int(saa_over.get("validation_n", 100_000))
+        surrogate_family = config.get("surrogate_family", "student-t")
+        surrogate_nu = float(config.get("surrogate_nu", 4.0))
+    scen = load_scenario_set()
     d = scen.d
-    l = int(config.get("max_assets", 4))
     if d > 15 or l > 5:
         raise ConfigError("case study is desk-scale: d <= 15 and max_assets <= 5")
-    beta = float(config.get("beta", 0.99))
-    quota = float(config.get("quota", 1.0))
-    modes = config.get("modes", list(MODES))
-    saa_over = dict(config.get("saa", {}))
     source = EmpiricalDistribution(scen)
-    surrogate = fit_from_returns(scen.points, config.get("surrogate_family", "student-t"),
-                                 nu=float(config.get("surrogate_nu", 4.0)),
+    surrogate = fit_from_returns(scen.points, surrogate_family, nu=surrogate_nu,
                                  weights=scen.probs)
     region = _quota_region(d, quota)
     problem = PortfolioProblem(region, beta, mu=source.mean, mode=P1,
                                cardinality=Cardinality(l))
-    meta = header_lines(config, seed)
+    prov = provenance(config, seed)
 
-    hist_meta = {"generator": f"riskscen {git_describe()}", "rng": GENERATOR_NAME,
-                 "seed": int(seed), "config_hash": config_hash(config)}
     results = {}
-    for mode in modes:
-        cfg = SaaConfig(mode=mode, **saa_over)
+    for mode, cfg in zip(modes, saa_configs):
         best, history = run_saa(problem, source, cfg, child_seed(seed, _T_CASE, 1),
                                 surrogate=surrogate)
         results[mode] = (best, history)
-        hist_path = out / f"case-history-{mode}.jsonl"
-        write_history(history, hist_path, meta=hist_meta)
+        write_history(history, out / f"case-history-{mode}.jsonl", meta=prov)
 
-    validation = sample(source, int(saa_over.get("validation_n", 100_000)),
-                        child_seed(seed, _T_VAL))
+    validation = sample(source, validation_n, child_seed(seed, _T_VAL))
     iters = max(len(h) for _, h in results.values())
     gap_rows = []
     prob_rows = []
@@ -428,7 +448,7 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
          summary_rows),
     ):
         path = out / name
-        write_table(path, meta, cols, rows)
+        write_table(path, prov, cols, rows)
         paths.append(path)
     return paths
 
@@ -440,25 +460,10 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
 def _points_from(config: dict, d: int) -> np.ndarray:
     """The config's points, one row of d coordinates each."""
     if "points" in config:
-        pts = np.atleast_2d(np.asarray(config["points"], dtype=float))
+        with _reading("points"):
+            pts = np.atleast_2d(np.asarray(config["points"], dtype=float))
     elif "points_csv" in config:
-        path = Path(config["points_csv"])
-        rows = []
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([float(v) for v in line.split(",")])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if not rows:
-            raise ConfigError(f"{path}: no points")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-        pts = np.asarray(rows)
+        _, pts = read_csv(config["points_csv"], header=False)
     else:
         raise ConfigError("need 'points' or 'points_csv'")
     if pts.shape[1] != d:
@@ -468,11 +473,7 @@ def _points_from(config: dict, d: int) -> np.ndarray:
 
 def _cone_from(config: dict) -> Cone:
     if "cone" in config:
-        return Cone(
-            int(config["cone"]["d"]),
-            config["cone"].get("generators"),
-            config["cone"].get("facets"),
-        )
+        return Cone.from_dict(config["cone"])
     if "region" in config:
         return conic_hull(FeasibleRegion.from_dict(config["region"]))
     raise ConfigError("need 'cone' or 'region'")
@@ -494,20 +495,23 @@ def run_project(config: dict, seed: int, out: Path) -> str:
 
 def run_classify(config: dict, seed: int, out: Path) -> str:
     cone = _cone_from(config)
-    dspec = config.get("distribution")
-    if dspec is None:
-        raise ConfigError("classify needs a 'distribution' entry")
-    if "returns_csv" in dspec:
-        dist = fit_from_returns(dspec["returns_csv"], dspec.get("family", "normal"),
-                                nu=float(dspec.get("nu", 4.0)))
-    else:
-        dist = EllipticalDistribution(dspec.get("family", "normal"),
-                                      np.asarray(dspec["mu"], dtype=float),
-                                      np.asarray(dspec["factor"], dtype=float),
-                                      dspec.get("nu"))
-    beta = float(config.get("beta", 0.95))
-    region = RiskRegion(dist, cone, beta)
     pts = _points_from(config, cone.d)
+    with _reading("classify config"):
+        dspec = config["distribution"]
+        family = dspec.get("family", "normal")
+        returns_csv = dspec.get("returns_csv")
+        if returns_csv is None:
+            mu = np.asarray(dspec["mu"], dtype=float)
+            factor = np.asarray(dspec["factor"], dtype=float)
+            nu = None if dspec.get("nu") is None else float(dspec["nu"])
+        else:
+            nu = float(dspec.get("nu", 4.0))
+        beta = float(config.get("beta", 0.95))
+    if returns_csv is None:
+        dist = EllipticalDistribution(family, mu, factor, nu)
+    else:
+        dist = fit_from_returns(returns_csv, family, nu=nu)
+    region = RiskRegion(dist, cone, beta)
     lines = [f"threshold q_beta = {region.threshold:.8g}"]
     for y in pts:
         if not np.all(np.isfinite(y)):

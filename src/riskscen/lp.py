@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 # The dual simplex stops once every basic value is >= -DUAL_STOP_TOL. Far
@@ -255,19 +253,3 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResul
     T = np.hstack([A, np.eye(m), rhs[:, None]])
     return Tableau(T, np.arange(ncols, ncols + m), c, S, offset)._optimize(phase1=True)
 
-
-def find_feasible_point(A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    """Phase-1 probe: a feasible point, or None when the system is infeasible."""
-    nvar = None
-    for mat in (A_ub, A_eq):
-        if mat is not None:
-            nvar = np.atleast_2d(np.asarray(mat)).shape[1]
-            break
-    if nvar is None:
-        nvar = len(bounds)
-    res = solve(np.zeros(nvar), A_ub, b_ub, A_eq, b_eq, bounds)
-    if res.status == "optimal":
-        return res.x
-    if res.status == "infeasible":
-        return None
-    raise SolverError(f"feasibility probe failed: {res.status}")

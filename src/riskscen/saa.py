@@ -213,8 +213,6 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
             zs.append(sol.z)
             seeds.append(s_m)
             sets.append(scen)
-        if not xs:
-            raise SolverError("all replications failed")
 
         g = np.array([[evaluate_objective(problem, scen, x) for x in xs] for scen in sets])
         gaps, half = estimate_gap(nu, g, config.alpha_gap)

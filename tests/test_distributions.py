@@ -6,8 +6,8 @@ import pytest
 from oracles import cvar_oracle, quantile_oracle
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
                                     ScenarioSet, fit_from_returns, load_scenarios,
-                                    normal_quantile, portfolio_loss_stats, sample,
-                                    save_scenarios, spherical_cvar, spherical_quantile)
+                                    normal_quantile, portfolio_loss_stats, read_csv,
+                                    sample, save_scenarios, spherical_cvar, spherical_quantile)
 from riskscen.errors import ConfigError
 
 # Frozen from the quadrature/bisection oracles in oracles.py.
@@ -223,6 +223,21 @@ class TestScenarioIO:
         path = tmp_path / "bad.csv"
         path.write_text("prob,y1\n0.5,1.0\n0.5,oops\n")
         with pytest.raises(ConfigError, match=":3"):
+            load_scenarios(path)
+
+    def test_read_csv_skips_blank_lines_and_reports_ragged_row(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1.0,2.0\n\n  \n3.0,4.0\n")
+        header, data = read_csv(path, header=False)
+        assert header is None and data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text("a,b\n1.0,2.0\n\n3.0\n")
+        with pytest.raises(ConfigError, match=":4: expected 2 fields, got 1"):
+            read_csv(path)
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("prob,y\u00e9\n1.0,2.0\n".encode("latin-1"))
+        with pytest.raises(ConfigError):
             load_scenarios(path)
 
 

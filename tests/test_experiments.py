@@ -265,21 +265,59 @@ class TestCli:
         assert res.returncode == 0
         assert "projection" in res.stdout
 
+    _CONE = {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]}
+    _NORMAL_2D = {"mu": [0.0, 0.0], "factor": [[1.0, 0.0], [0.0, 1.0]]}
+    _TINY_SAA = {"n0": 20, "dn": 10, "replications": 2, "validation_n": 100,
+                 "max_iterations": 1, "prob_estimate_n": 100}
+
+    # MISSING stands for a path that does not exist.
     @pytest.mark.parametrize("command, config", [
         ("project", {"region": {"d": 2, "rows": [{"b": 0.5}]}, "points": [[1.0, 0.0]]}),
         ("project", {"region": {"d": 2, "upper": [0.6, 0.6, 0.6]}, "points": [[1.0, 0.0]]}),
-        ("project", {"cone": {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]},
-                     "points": [[1.0, 0.0, 2.0]]}),
-        ("classify", {"cone": {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]},
-                      "distribution": {"mu": [0.0, 0.0], "factor": [[1.0, 0.0], [0.0, 1.0]]},
-                      "points": [[1.0, 0.0, 2.0]]}),
-    ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width"])
+        ("project", {"cone": _CONE, "points": [[1.0, 0.0, 2.0]]}),
+        ("classify", {"cone": _CONE, "distribution": _NORMAL_2D, "points": [[1.0, 0.0, 2.0]]}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "source": {"returns_csv": "MISSING"}}),
+        ("stability", {"source": {"scenario_csv": "MISSING"}}),
+        ("case-study", {"source": {"scenario_csv": "MISSING"}}),
+        ("project", {"cone": _CONE, "points_csv": "MISSING"}),
+        ("prob-table", {"family": "cauchy", "dimensions": [2], "trials": 1,
+                        "source": {"synthetic": {}}}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "source": {"synthetic": {"months": "x"}}}),
+        ("stability", {"dimensions": [2], "quota": "a", "source": {"synthetic": {}}}),
+        ("reduction-error", {"dimensions": [2], "sets": "x", "source": {"synthetic": {}}}),
+        ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_assets": 2,
+                        "saa": {"bogus": 1}}),
+        ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_assets": 2,
+                        "beta": 0.9, "modes": ["basic-sampling", "nope"], "saa": _TINY_SAA}),
+        ("project", {"cone": {"facets": [[1.0, 0.0]]}, "points": [[1.0, 0.0]]}),
+        ("project", {"cone": {"d": "x", "facets": [[1.0, 0.0]]}, "points": [[1.0, 0.0]]}),
+        ("project", {"cone": {"d": 2, "facets": [[1.0, 0.0], [1.0]]}, "points": [[1.0, 0.0]]}),
+        ("project", {"cone": {"d": 2, "generators": [[1.0, 0.0], [1.0]]},
+                     "points": [[1.0, 0.0]]}),
+        ("project", {"cone": _CONE, "points": [[1.0, 0.0], [1.0]]}),
+        ("project", {"cone": _CONE, "points": [[1.0, "a"]]}),
+        ("classify", {"cone": _CONE, "distribution": {"factor": [[1.0, 0.0], [0.0, 1.0]]},
+                      "points": [[1.0, 0.0]]}),
+        ("classify", {"cone": _CONE, "distribution": {"mu": [0.0, 0.0],
+                                                      "factor": [[1.0, 0.0], [0.0]]},
+                      "points": [[1.0, 0.0]]}),
+    ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
+            "missing-returns-csv", "missing-scenario-csv-stability",
+            "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
+            "months-not-a-number", "quota-not-a-number", "sets-not-a-number",
+            "unknown-saa-key", "bad-second-mode", "cone-without-d", "cone-d-not-a-number",
+            "ragged-facets", "ragged-generators", "ragged-points", "non-numeric-point",
+            "classify-without-mu", "classify-ragged-factor"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
+        """Exit 2 with a config error before any output: the bad-second-mode
+        case study must not run (and write) its first mode."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps(config).replace("MISSING", str(tmp_path / "missing.csv")))
+        out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "--seed", "1",
-                         "--out", str(tmp_path)]) == 2
+                         "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestDeterminism:
@@ -294,15 +332,25 @@ class TestDeterminism:
         (p2,) = run_prob_table(config, 41, b)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        config = {"family": "normal", "dimensions": [2, 3], "betas": [0.95],
-                  "quotas": [1.0], "trials": 2, "n_points": 200,
-                  "source": {"synthetic": {"months": 100}}}
+    # 2 dimensions x 2 trials, so jobs=2 really fans the cells out to a pool
+    @pytest.mark.parametrize("run, config", [
+        (run_prob_table, {"family": "normal", "dimensions": [2, 3], "betas": [0.95],
+                          "quotas": [1.0], "trials": 2, "n_points": 200,
+                          "source": {"synthetic": {"months": 100}}}),
+        (run_stability, {"family": "normal", "dimensions": [2, 3], "trials": 2, "sets": 3,
+                         "n_risk_target": 20, "beta": 0.95,
+                         "source": {"synthetic": {"months": 100}}}),
+        (run_reduction_error, {"family": "normal", "dimensions": [2, 3], "trials": 2,
+                               "sizes": [40], "betas": [0.95], "sets": 2,
+                               "source": {"synthetic": {"months": 100}}}),
+    ], ids=["prob-table", "stability", "reduction-error"])
+    def test_jobs_do_not_change_bytes(self, tmp_path, run, config):
         a = tmp_path / "a"
         b = tmp_path / "b"
         a.mkdir(), b.mkdir()
-        pa = run_prob_table(config, 43, a, jobs=1)
-        pb = run_prob_table(config, 43, b, jobs=2)
+        pa = run(config, 43, a, jobs=1)
+        pb = run(config, 43, b, jobs=2)
+        assert [x.name for x in pa] == [y.name for y in pb]
         for x, y in zip(pa, pb):
             assert x.read_bytes() == y.read_bytes()
 

@@ -116,10 +116,11 @@ def test_matches_scipy_on_random_lps(trial):
 
 
 def test_feasible_point_probe():
-    x = lp.find_feasible_point(A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0, 0.6), (0, 0.6)])
-    assert x is not None and abs(x.sum() - 1.0) < 1e-9
-    assert lp.find_feasible_point(A_eq=[[1.0, 1.0]], b_eq=[2.5],
-                                  bounds=[(0, 1), (0, 1)]) is None
+    """The zero-cost probe FeasibleRegion runs: optimal at a feasible point, or infeasible."""
+    res = lp.solve(np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0, 0.6), (0, 0.6)])
+    assert res.status == "optimal" and abs(res.x.sum() - 1.0) < 1e-9
+    assert lp.solve(np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[2.5],
+                    bounds=[(0, 1), (0, 1)]).status == "infeasible"
 
 
 def _random_master(rng):
