@@ -52,6 +52,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config file not found: {cfg_path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{cfg_path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"{cfg_path}: the config must be a JSON object")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command in _TABLE_COMMANDS:

@@ -307,9 +307,11 @@ def _passive_solve(Q, A, B, AtB, passive):
     rows), all rows are solved in one batch through the Gram matrix A'A, and
     one refinement step on the residual (B - S A')A recovers most of the
     accuracy the normal equations lose. A ridge of eps * max_j |A_j|^2 on
-    the passive diagonal keeps exactly dependent passive columns (parallel
-    rows of a least-distance program) solvable; after the refinement step
-    it moves a well-conditioned solution by O((ridge / lambda_min)^2).
+    the passive diagonal keeps exactly dependent passive columns solvable:
+    a least-distance program whose polytope has an equality as an opposing
+    row pair has two columns that are exact negatives, and near a
+    degenerate vertex both can enter. After the refinement step the ridge
+    moves a well-conditioned solution by O((ridge / lambda_min)^2).
     """
     count = passive.sum(axis=1)
     p = int(count.max(initial=0))

@@ -1,21 +1,20 @@
 """Scenario-based CVaR portfolio optimization.
 
-Three solve paths share one problem object: Kelley's cutting-plane method
-on a scenario set, an exact solver for elliptical returns (the loss is
-||P x|| X_1 - x'mu, so the true CVaR objective is convex and available in
-closed form; it is minimized by a 1-D search along the efficient frontier,
-each point one polytope projection), and a best-first branch-and-bound for
-cardinality-restricted supports that runs the cutting-plane method in every
-node. Discrete CVaR uses exact atom splitting at the beta-quantile.
+One solver, Kelley's cutting-plane method, minimizes every CVaR objective:
+discrete CVaR over a scenario set, and the exact CVaR for elliptical returns
+(the loss is ||P x|| X_1 - x'mu, so the true CVaR is c ||P x|| - mu'x with c
+the spherical beta-CVaR). A best-first branch-and-bound for
+cardinality-restricted supports runs the same method in every node. Discrete
+CVaR uses exact atom splitting at the beta-quantile.
 
 The cutting-plane master LP lives on [x, t] only: the region rows, the
-budget, the box, the P1 return floor and the cuts t >= g'x. Discrete CVaR of
--x'y is convex and positively homogeneous in x (Kuenzi-Bay & Mayer,
-Comput. Manag. Sci. 3 (2006)), so each subgradient g gives a cut with no
-intercept that holds at every x, and a branch-and-bound child keeps every
-cut of its parent's master. The master grows one row per cut and is
-re-solved warm (lp.Tableau.add_rows), so its size does not depend on the
-scenario count.
+budget, the box, the P1 return floor and the cuts t >= g'x. Both risk
+measures are convex and positively homogeneous in x (for discrete CVaR of
+-x'y see Kuenzi-Bay & Mayer, Comput. Manag. Sci. 3 (2006)), so each
+subgradient g gives a cut with no intercept that holds at every x, and a
+branch-and-bound child keeps every cut of its parent's master. The master
+grows one row per cut and is re-solved warm (lp.Tableau.add_rows), so its
+size does not depend on the scenario count.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp
-from .cones import FeasibleRegion, project_polytope
+from .cones import FeasibleRegion
 from .distributions import EllipticalDistribution, ScenarioSet
 from .errors import ConfigError, SolverError
 
@@ -37,6 +36,11 @@ P3 = "P3"  # min lam*CVaR + (1-lam)*(-expected return)
 
 _TIE_BREAK = 1e-12
 GAP_TOL = 1e-9  # certified relative gap: best - bound <= GAP_TOL * (1 + |best|)
+# Gap of the exact elliptical solve. Its objective is smooth at the optimum,
+# where the distance of x from the optimum grows like sqrt(gap): GAP_TOL
+# leaves x 2e-5 away, 1e-12 about 5e-7. 1e-13 is below the master's
+# rounding floor, and solves end at the cut cap.
+_EXACT_GAP_TOL = 1e-12
 _CUTS_PER_DIM = 100  # cap on new cuts in one certification: _CUTS_PER_DIM * (d + 1)
 _NODE_LIMIT = 100_000  # branch-and-bound masters certified per solve_cardinality call
 
@@ -240,18 +244,40 @@ class _Node:
     tableau: lp.Tableau | None = None
 
 
+def _scenario_risk(scenarios: ScenarioSet, beta: float):
+    """Risk oracle of discrete CVaR: x -> (CVaR at x, the call that returns a subgradient)."""
+
+    def risk(x):
+        losses, var, cvar = _loss_tail(scenarios, x, beta)
+        return cvar, lambda: _tail_subgradient(scenarios, losses, var, beta)
+    return risk
+
+
+def _elliptical_risk(dist: EllipticalDistribution, beta: float, mu: np.ndarray):
+    """Risk oracle of the exact elliptical CVaR c ||P x|| - mu'x, gradient c P'P x / ||P x|| - mu."""
+    P, c = dist.factor, dist.tail_cvar(beta)
+
+    def risk(x):
+        u = P @ x
+        norm = float(np.linalg.norm(u))
+        return c * norm - float(x @ mu), lambda: c * (P.T @ u) / norm - mu
+    return risk
+
+
 class _CuttingPlane:
     """Kelley's cutting-plane method on the master LP over [x, t].
 
     The master minimizes weight * t + lin'x, the objective with CVaR replaced
     by t (lin carries P3's return term and the tie-break that picks the same
-    vertex among equal optima). Each master holds the cuts taken at its own
-    points and at those of the masters it was copied from.
+    vertex among equal optima). `risk` maps x to its CVaR and the call that
+    returns a subgradient there; the CVaR must be convex and positively
+    homogeneous, so every cut has no intercept. Each master holds the cuts
+    taken at its own points and at those of the masters it was copied from.
     """
 
-    def __init__(self, problem: PortfolioProblem, scenarios: ScenarioSet):
+    def __init__(self, problem: PortfolioProblem, risk, gap: float = GAP_TOL):
         d = problem.d
-        self.problem, self.scenarios = problem, scenarios
+        self.problem, self.risk, self.gap = problem, risk, gap
         self.weight = problem.weight
         self.lin = _TIE_BREAK * np.arange(1, d + 1)
         if problem.mode == P3:
@@ -266,7 +292,7 @@ class _CuttingPlane:
         """
         problem, region = self.problem, self.problem.region
         d = region.d
-        first = cvar_subgradient(self.scenarios, np.full(d, region.capital / d), problem.beta)
+        first = self.risk(np.full(d, region.capital / d))[1]()
         rows, rhs = [region.A], [region.b]
         if problem.mode == P1:
             rows.append([-problem.mu])
@@ -288,7 +314,7 @@ class _CuttingPlane:
         return self.certify(node.tableau.copy().add_rows(_on_x(A), b))
 
     def certify(self, res: lp.LpResult) -> _Node:
-        """Add cuts until best - bound <= GAP_TOL (1 + |best|).
+        """Add cuts until best - bound <= gap (1 + |best|).
 
         Each round evaluates the objective at the master point (every master
         point is feasible) and, short of the gap, adds the cut at that point.
@@ -298,17 +324,16 @@ class _CuttingPlane:
         new = 0
         while res.status == "optimal":
             x, bound = res.x[:d], res.objective
-            losses, var, cvar = _loss_tail(self.scenarios, x, self.problem.beta)
+            cvar, subgradient = self.risk(x)
             value = self.weight * cvar + float(self.lin @ x)
             if value < best:
                 best, x_best = value, x
-            if best - bound <= GAP_TOL * (1.0 + abs(best)):
+            if best - bound <= self.gap * (1.0 + abs(best)):
                 return _Node("optimal", x_best, best, bound, res.tableau)
             if new == self.cap:
                 return _Node("iteration-limit")
-            g = _tail_subgradient(self.scenarios, losses, var, self.problem.beta)
             new += 1
-            res = res.tableau.add_rows(_on_x(g, -1.0), [0.0])
+            res = res.tableau.add_rows(_on_x(subgradient(), -1.0), [0.0])
         return _Node(res.status)
 
 
@@ -322,7 +347,8 @@ def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
         raise ConfigError("use solve_cardinality for problems with a support limit")
     if scenarios.n == 0:
         raise ConfigError("scenario set is empty")
-    node = _CuttingPlane(problem, scenarios).root(problem.region.upper)
+    node = _CuttingPlane(problem, _scenario_risk(scenarios, problem.beta)).root(
+        problem.region.upper)
     if node.status != "optimal":
         return Solution(None, np.nan, np.nan, np.nan, node.status)
     return _finish(problem, scenarios, node.x, lp_objective=node.bound)
@@ -332,77 +358,25 @@ def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
 # exact solver for elliptical returns
 
 
-def _feasible_rows(problem):
-    """The feasible polytope as {x : G x <= h}.
-
-    Budget equality as an opposing row pair, the box, the region's rows and,
-    for P1, the return floor mu'x >= tau.
-    """
-    region = problem.region
-    d = region.d
-    ones = np.ones(d)
-    rows = [[ones], [-ones], -np.eye(d), np.eye(d), region.A]
-    rhs = [[region.capital], [-region.capital], -region.lower, region.upper, region.b]
-    if problem.mode == P1:
-        rows.append([-problem.mu])
-        rhs.append([-problem.tau])
-    return np.vstack(rows), np.concatenate(rhs)
-
-
 def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:
     """Minimize the exact CVaR objective for elliptical returns.
 
-    The objective is weight * ||P x|| - mu'x, with P3's lambda folded into
-    the weight. With the frontier h(r) = min{||P x|| : x in X, mu'x >= r},
-    convex and nondecreasing, the optimum is the 1-D convex minimum of
-    weight * h(r) - r; each h(r) is one least-distance projection of the
-    origin in u = P x coordinates. The search brackets r between the return
-    of the minimum-risk portfolio (below it h is flat) and the LP maximum of
-    mu'x over X, and narrows the bracket by golden sections to a 1e-10
-    fraction of its width.
+    The CVaR of the loss -x'y is c ||P x|| - mu'x, with c the spherical
+    beta-CVaR of dist; the cutting-plane method minimizes it to a certified
+    relative gap of 1e-12, and `lp_objective` is the master bound. A master
+    that cannot certify raises SolverError.
     """
     if problem.cardinality is not None:
         raise ConfigError("exact elliptical solver handles continuous problems only")
-    P, mu = dist.factor, problem.mu
-    weight = problem.weight * dist.tail_cvar(problem.beta)
-    G, h = _feasible_rows(problem)
-    Gu = np.linalg.solve(P.T, G.T).T  # rows of G P^{-1}
-    Gr = np.vstack([Gu, np.linalg.solve(P.T, -mu)])
-    origin = np.zeros(problem.d)
-
-    def objective(x):
-        return weight * float(np.linalg.norm(P @ x)) - float(x @ mu)
-
-    def frontier(r):
-        """(weight * h(r) - r, the portfolio attaining h(r))."""
-        u = project_polytope(origin, Gr, np.append(h, -r))
-        return weight * float(np.linalg.norm(u)) - r, np.linalg.solve(P, u)
-
-    x = np.linalg.solve(P, project_polytope(origin, Gu, h))
-    top = lp.solve(-mu, G, h, bounds=[(None, None)] * problem.d)
-    if top.status != "optimal":
-        raise SolverError(f"return-range LP ended {top.status}")
-    lo, hi = float(x @ mu), -top.objective
-    if hi - lo > 1e-12 * (1.0 + abs(hi)):
-        golden = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        left, right = b - golden * (b - a), a + golden * (b - a)
-        f_left, f_right = frontier(left), frontier(right)
-        while b - a > 1e-10 * (hi - lo):
-            if f_left[0] <= f_right[0]:
-                b, right, f_right = right, left, f_left
-                left = b - golden * (b - a)
-                f_left = frontier(left)
-            else:
-                a, left, f_left = left, right, f_right
-                right = a + golden * (b - a)
-                f_right = frontier(right)
-        x = min((x, f_left[1], f_right[1]), key=objective)
-
-    scale = float(np.linalg.norm(P @ x))
-    cvar = scale * dist.tail_cvar(problem.beta) - float(x @ problem.mu)
+    risk = _elliptical_risk(dist, problem.beta, problem.mu)
+    node = _CuttingPlane(problem, risk, _EXACT_GAP_TOL).root(problem.region.upper)
+    if node.status != "optimal":
+        raise SolverError(f"exact elliptical master ended {node.status}")
+    x = node.x
+    cvar, _ = risk(x)
     ret = float(x @ problem.mu)
-    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal")
+    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal",
+                    lp_objective=node.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +407,8 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     if np.sort(caps)[::-1][:l].sum() < region.capital - 1e-12:
         return Solution(None, np.nan, np.nan, np.nan, "infeasible")
 
-    cutting = _CuttingPlane(replace(problem, cardinality=None), scenarios)
+    cutting = _CuttingPlane(replace(problem, cardinality=None),
+                           _scenario_risk(scenarios, problem.beta))
 
     def slot_row(z0: frozenset, z1: frozenset):
         coeffs = np.zeros(d)

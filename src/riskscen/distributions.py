@@ -249,10 +249,6 @@ class EllipticalDistribution:
         return self.mu.size
 
     @property
-    def dim(self) -> int:
-        return self.mu.size
-
-    @property
     def mean(self) -> np.ndarray:
         return self.mu.copy()
 
@@ -324,10 +320,6 @@ class EmpiricalDistribution:
 
     @property
     def d(self) -> int:
-        return self.scenarios.d
-
-    @property
-    def dim(self) -> int:
         return self.scenarios.d
 
     @property

@@ -76,12 +76,14 @@ def _reading(what: str):
 
     Wrap only lookups and conversions of config values, never package
     computations, so a program fault is never reported as a config error.
+    A list or number where the config needs an object raises AttributeError
+    at its first .get.
     """
     try:
         yield
     except KeyError as exc:
         raise ConfigError(f"{what}: {exc} is missing or unknown") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 

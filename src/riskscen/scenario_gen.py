@@ -65,7 +65,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
     """
     if n_risk_target < 1:
         raise ConfigError("need a positive risk-scenario target")
-    if getattr(sampler, "dim", region.d) != region.d:
+    if sampler.d != region.d:
         raise ConfigError("sampler dimension does not match the region")
     rng = rng_from(seed)
     d = region.d

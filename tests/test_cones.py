@@ -14,7 +14,9 @@ from riskscen import cones
 from riskscen.cones import (Cone, ConeProjector, FeasibleRegion, cone_member, conic_hull, nnls,
                             project, project_generators, project_polyhedral, project_polytope,
                             transform)
+from riskscen.distributions import fit_from_returns
 from riskscen.errors import ConfigError, SolverError
+from riskscen.synthetic import synthetic_returns
 from shapes import SHAPES
 
 
@@ -249,15 +251,47 @@ class TestProjectPolytope:
             G = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)), d))
             h = G @ rng.normal(size=d) + rng.uniform(0.0, 1.0, size=G.shape[0])
             y = rng.normal(size=d) * 4
-            x = project_polytope(y, G, h)
-            assert np.all(G @ x <= h + 1e-9)
-            active = G @ x >= h - 1e-8
-            if not active.any():
-                assert np.allclose(x, y)
-                continue
-            # y - x lies in the cone of the active rows (the normal cone at x)
-            res = scipy_nnls(G[active].T, y - x)[1]
-            assert res <= 1e-8 * (1.0 + np.linalg.norm(y - x))
+            self._assert_kkt(y, G, h, project_polytope(y, G, h))
+
+    # The markets of TestSolveExact's dependent-passive-columns case and their
+    # optimal portfolios under a 0.3 quota. Each optimum is a vertex; with a
+    # return floor through it, the budget pair, d - 1 bounds and the floor are
+    # active at once, more rows than the d + 1 of the least-distance program.
+    @pytest.mark.parametrize("d,seed,vertex", [
+        (4, 1, [0.3, 0.1, 0.3, 0.3]),
+        (6, 1, [0.3, 0.3, 0.1, 0.3, 0.0, 0.0]),
+        (8, 2, [0.1, 0.0, 0.0, 0.0, 0.3, 0.3, 0.3, 0.0]),
+        (10, 1, [0.0, 0.3, 0.1, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.3])])
+    def test_kkt_with_dependent_passive_columns(self, d, seed, vertex):
+        """Minimum-risk portfolios at return floors around a degenerate vertex.
+
+        In u = P x coordinates the rows are G P^-1 (the budget as an opposing
+        row pair, the box) plus the floor mu'x >= r. For some r within a
+        relative 2e-6 of the vertex's return the NNLS passive set takes both
+        budget columns, which are exact negatives of each other; without the
+        ridge in _passive_solve their Gram system is singular.
+        """
+        _, returns = synthetic_returns(d, 240, seed, family="student-t")
+        dist = fit_from_returns(returns, "student-t", nu=4.0)
+        ones = np.ones(d)
+        G = np.vstack([ones, -ones, -np.eye(d), np.eye(d), -dist.mu])
+        Gu = np.linalg.solve(dist.factor.T, G.T).T
+        r0 = float(dist.mu @ np.array(vertex))
+        for k in range(-20, 21):
+            h = np.concatenate([[1.0, -1.0], np.zeros(d), np.full(d, 0.3),
+                                [-r0 * (1.0 + k * 1e-7)]])
+            self._assert_kkt(np.zeros(d), Gu, h, project_polytope(np.zeros(d), Gu, h))
+
+    @staticmethod
+    def _assert_kkt(y, G, h, x):
+        assert np.all(G @ x <= h + 1e-9)
+        active = G @ x >= h - 1e-8
+        if not active.any():
+            assert np.allclose(x, y)
+            return
+        # y - x lies in the cone of the active rows (the normal cone at x)
+        res = scipy_nnls(G[active].T, y - x)[1]
+        assert res <= 1e-8 * (1.0 + np.linalg.norm(y - x))
 
     def test_empty_polytope_raises(self):
         G = np.array([[1.0, 0.0], [-1.0, 0.0]])

@@ -19,7 +19,7 @@ from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, cvar_subgr
                                solve_exact_elliptical, solve_lp)
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                                     fit_from_returns, sample)
-from riskscen.errors import ConfigError
+from riskscen.errors import ConfigError, SolverError
 from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.scenario_gen import aggregation_reduction, aggregation_sampling
 from riskscen.synthetic import skewed_scenarios, synthetic_returns
@@ -341,21 +341,38 @@ class TestSolveExact:
     @pytest.mark.parametrize("d,seed,mode,lam", [(4, 1, P3, 0.5), (6, 1, P1, 1.0),
                                                  (8, 2, P3, 0.5), (10, 1, P1, 1.0)])
     def test_matches_slsqp_oracle_with_dependent_passive_columns(self, d, seed, mode, lam):
-        # markets whose least-distance programs reach exactly dependent
-        # passive columns (an unregularized Gram solve raises on them)
+        # markets whose optima are vertices of the quota box on the budget
+        # plane; the least-distance programs of return floors through them
+        # reach exactly dependent passive columns, which
+        # test_cones.py::TestProjectPolytope covers
         self._check_against_slsqp(d, seed, mode, lam)
 
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    def test_matches_slsqp_oracle_with_lower_bounds(self, mode, lam):
+        self._check_against_slsqp(10, 7, mode, lam, lower=0.05)
+
+    def test_uncertified_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(cvar_opt, "_CUTS_PER_DIM", 0)
+        _, returns = synthetic_returns(10, 240, 7, family="student-t")
+        dist = fit_from_returns(returns, "student-t", nu=4.0)
+        problem = PortfolioProblem(FeasibleRegion(10, 1.0, upper=np.full(10, 0.3)), 0.95,
+                                   mu=dist.mu)
+        with pytest.raises(SolverError):
+            solve_exact_elliptical(problem, dist)
+
     @staticmethod
-    def _check_against_slsqp(d, seed, mode, lam):
+    def _check_against_slsqp(d, seed, mode, lam, lower=0.0):
         _, returns = synthetic_returns(d, 240, seed, family="student-t")
         dist = fit_from_returns(returns, "student-t", nu=4.0)
-        region = FeasibleRegion(d, 1.0, upper=np.full(d, 0.3))
+        region = FeasibleRegion(d, 1.0, lower=lower, upper=np.full(d, 0.3))
         problem = PortfolioProblem(region, 0.95, mu=dist.mu, mode=mode, lam=lam)
         sol = solve_exact_elliptical(problem, dist)
         weight = lam * dist.tail_cvar(0.95)  # P3 objective: lam*tail*||Px|| - mu'x
         ref, _ = elliptical_objective_oracle(dist.factor, dist.mu, weight, 1.0, region.lower,
                                              region.upper, tau=problem.tau)
         assert sol.objective <= ref + 1e-9 * (1.0 + abs(sol.cvar))
+        assert sol.lp_objective <= ref + 1e-9 * (1.0 + abs(ref))
+        assert sol.objective - sol.lp_objective <= 1e-12 * (1.0 + abs(sol.objective))
         assert region.contains(sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9

@@ -301,19 +301,28 @@ class TestCli:
         ("classify", {"cone": _CONE, "distribution": {"mu": [0.0, 0.0],
                                                       "factor": [[1.0, 0.0], [0.0]]},
                       "points": [[1.0, 0.0]]}),
+        ("prob-table", [1, 2]),
+        ("stability", [1, 2]),
+        ("case-study", [1, 2]),
+        ("project", 5),
+        ("classify", {"cone": _CONE, "distribution": [1], "points": [[1.0, 0.0]]}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "source": {"synthetic": 5}}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
             "months-not-a-number", "quota-not-a-number", "sets-not-a-number",
             "unknown-saa-key", "bad-second-mode", "cone-without-d", "cone-d-not-a-number",
             "ragged-facets", "ragged-generators", "ragged-points", "non-numeric-point",
-            "classify-without-mu", "classify-ragged-factor"])
+            "classify-without-mu", "classify-ragged-factor", "prob-table-config-a-list",
+            "stability-config-a-list", "case-study-config-a-list", "project-config-a-number",
+            "distribution-a-list", "synthetic-a-number"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config).replace("MISSING", str(tmp_path / "missing.csv")))
         out = tmp_path / "out"
+        out.mkdir()
         assert cli.main([command, "--config", str(cfg), "--seed", "1",
                          "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err

@@ -85,6 +85,10 @@ class TestAggregationSampling:
         with pytest.raises(ConfigError):
             aggregation_sampling(region, region.dist, 0, 1)
 
+    def test_sampler_dimension_must_match(self):
+        with pytest.raises(ConfigError):
+            aggregation_sampling(make_region(d=2), make_region(d=3).dist, 5, 1)
+
     def test_effective_size_law(self):
         # mean N(n) over repetitions within 3 SE of n/(1-q), q by Monte Carlo
         region = make_region()
