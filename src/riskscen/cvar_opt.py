@@ -8,7 +8,9 @@ cardinality-restricted supports runs the same method in every node. Discrete
 CVaR uses exact atom splitting at the beta-quantile.
 
 The cutting-plane master LP lives on [x, t] only: the region rows, the
-budget, the box, the P1 return floor and the cuts t >= g'x. Both risk
+budget, the box, the P1 return floor and the cuts t >= g'x. Its cost is the
+objective with CVaR replaced by t, so the master bound (`lp_objective`) is a
+lower bound on the objective of the returned point. Both risk
 measures are convex and positively homogeneous in x (for discrete CVaR of
 -x'y see Kuenzi-Bay & Mayer, Comput. Manag. Sci. 3 (2006)), so each
 subgradient g gives a cut with no intercept that holds at every x, and a
@@ -34,7 +36,6 @@ from .errors import ConfigError, SolverError
 P1 = "P1"  # min CVaR subject to a target expected return
 P3 = "P3"  # min lam*CVaR + (1-lam)*(-expected return)
 
-_TIE_BREAK = 1e-12
 GAP_TOL = 1e-9  # certified relative gap: best - bound <= GAP_TOL * (1 + |best|)
 # Gap of the exact elliptical solve. Its objective is smooth at the optimum,
 # where the distance of x from the optimum grows like sqrt(gap): GAP_TOL
@@ -220,11 +221,14 @@ def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -
     return -(weights @ scenarios.points) / (1.0 - beta)
 
 
-def _finish(problem, scenarios, x, z=None, lp_objective=None) -> Solution:
-    cvar = discrete_cvar(scenarios, x, problem.beta)
+def _solution(problem: PortfolioProblem, x, cvar: float, **extra) -> Solution:
+    """The optimal-status Solution at x, whose CVaR is `cvar`."""
     ret = float(x @ problem.mu)
-    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", z=z,
-                    scenario_count=scenarios.n, lp_objective=lp_objective)
+    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", **extra)
+
+
+def _failed(status: str) -> Solution:
+    return Solution(None, np.nan, np.nan, np.nan, status)
 
 
 def _on_x(A, t_coeff: float = 0.0) -> np.ndarray:
@@ -235,13 +239,17 @@ def _on_x(A, t_coeff: float = 0.0) -> np.ndarray:
 
 @dataclass
 class _Node:
-    """A certified master: its best point, that point's value and the bound."""
+    """A certified master: the Solution at its best point, and the master bound."""
 
-    status: str
-    x: np.ndarray | None = None
-    value: float = np.inf
+    best: Solution
     bound: float = -np.inf
     tableau: lp.Tableau | None = None
+
+    def solution(self, **extra) -> Solution:
+        """The best point with the bound as `lp_objective`; a failed node's Solution as is."""
+        if self.best.status != "optimal":
+            return self.best
+        return replace(self.best, lp_objective=self.bound, **extra)
 
 
 def _scenario_risk(scenarios: ScenarioSet, beta: float):
@@ -268,8 +276,8 @@ class _CuttingPlane:
     """Kelley's cutting-plane method on the master LP over [x, t].
 
     The master minimizes weight * t + lin'x, the objective with CVaR replaced
-    by t (lin carries P3's return term and the tie-break that picks the same
-    vertex among equal optima). `risk` maps x to its CVaR and the call that
+    by t (lin is P3's return term, zero for P1), so its bound is a lower bound
+    on the objective. `risk` maps x to its CVaR and the call that
     returns a subgradient there; the CVaR must be convex and positively
     homogeneous, so every cut has no intercept. Each master holds the cuts
     taken at its own points and at those of the masters it was copied from.
@@ -279,9 +287,7 @@ class _CuttingPlane:
         d = problem.d
         self.problem, self.risk, self.gap = problem, risk, gap
         self.weight = problem.weight
-        self.lin = _TIE_BREAK * np.arange(1, d + 1)
-        if problem.mode == P3:
-            self.lin = self.lin - (1.0 - problem.lam) * problem.mu
+        self.lin = -(1.0 - problem.lam) * problem.mu if problem.mode == P3 else np.zeros(d)
         self.cap = _CUTS_PER_DIM * (d + 1)
 
     def root(self, upper, A=None, b=None) -> _Node:
@@ -319,29 +325,29 @@ class _CuttingPlane:
         Each round evaluates the objective at the master point (every master
         point is feasible) and, short of the gap, adds the cut at that point.
         """
-        d = self.problem.d
-        best, x_best = np.inf, None
-        new = 0
+        problem = self.problem
+        best, new = None, 0
         while res.status == "optimal":
-            x, bound = res.x[:d], res.objective
+            x, bound = res.x[:problem.d], res.objective
             cvar, subgradient = self.risk(x)
-            value = self.weight * cvar + float(self.lin @ x)
-            if value < best:
-                best, x_best = value, x
-            if best - bound <= self.gap * (1.0 + abs(best)):
-                return _Node("optimal", x_best, best, bound, res.tableau)
+            point = _solution(problem, x, cvar)
+            if best is None or point.objective < best.objective:
+                best = point
+            if best.objective - bound <= self.gap * (1.0 + abs(best.objective)):
+                return _Node(best, bound, res.tableau)
             if new == self.cap:
-                return _Node("iteration-limit")
+                return _Node(_failed("iteration-limit"))
             new += 1
             res = res.tableau.add_rows(_on_x(subgradient(), -1.0), [0.0])
-        return _Node(res.status)
+        return _Node(_failed(res.status))
 
 
 def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
     """Cutting-plane solve of the continuous scenario problem.
 
     Returns the best master point; its reported CVaR is discrete_cvar there,
-    and `lp_objective` is the master bound, within GAP_TOL of the objective.
+    and `lp_objective` is the master bound, a lower bound within GAP_TOL of
+    the objective.
     """
     if problem.cardinality is not None:
         raise ConfigError("use solve_cardinality for problems with a support limit")
@@ -349,9 +355,7 @@ def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
         raise ConfigError("scenario set is empty")
     node = _CuttingPlane(problem, _scenario_risk(scenarios, problem.beta)).root(
         problem.region.upper)
-    if node.status != "optimal":
-        return Solution(None, np.nan, np.nan, np.nan, node.status)
-    return _finish(problem, scenarios, node.x, lp_objective=node.bound)
+    return node.solution(scenario_count=scenarios.n)
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +367,16 @@ def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistributi
 
     The CVaR of the loss -x'y is c ||P x|| - mu'x, with c the spherical
     beta-CVaR of dist; the cutting-plane method minimizes it to a certified
-    relative gap of 1e-12, and `lp_objective` is the master bound. A master
-    that cannot certify raises SolverError.
+    relative gap of 1e-12, and `lp_objective` is the master bound, a lower
+    bound on the objective. A master that cannot certify raises SolverError.
     """
     if problem.cardinality is not None:
         raise ConfigError("exact elliptical solver handles continuous problems only")
     risk = _elliptical_risk(dist, problem.beta, problem.mu)
     node = _CuttingPlane(problem, risk, _EXACT_GAP_TOL).root(problem.region.upper)
-    if node.status != "optimal":
-        raise SolverError(f"exact elliptical master ended {node.status}")
-    x = node.x
-    cvar, _ = risk(x)
-    ret = float(x @ problem.mu)
-    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal",
-                    lp_objective=node.bound)
+    if node.best.status != "optimal":
+        raise SolverError(f"exact elliptical master ended {node.best.status}")
+    return node.solution()
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     d, l = region.d, card.max_assets
     caps = np.minimum(card.caps, region.upper)
     if np.sort(caps)[::-1][:l].sum() < region.capital - 1e-12:
-        return Solution(None, np.nan, np.nan, np.nan, "infeasible")
+        return _failed("infeasible")
 
     cutting = _CuttingPlane(replace(problem, cardinality=None),
                            _scenario_risk(scenarios, problem.beta))
@@ -426,9 +426,6 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
             z[j] = 1
         return z
 
-    def failed(node: _Node):
-        return Solution(None, np.nan, np.nan, np.nan, node.status)
-
     incumbent_val = np.inf
     incumbent: Solution | None = None
     counter = 0
@@ -436,8 +433,8 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
 
     coeffs, slots = slot_row(frozenset(), frozenset())
     root = cutting.root(caps, [coeffs], [slots])
-    if root.status != "optimal":
-        return failed(root)
+    if root.best.status != "optimal":
+        return root.best
     solves = 1
 
     heapq.heappush(heap, (root.bound, counter, frozenset(), frozenset(), root))
@@ -445,13 +442,13 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
         bound, _, z0, z1, node = heapq.heappop(heap)
         if bound >= incumbent_val - 1e-9:
             break
-        x = node.x
+        x = node.best.x
         sup = support_of(x)
         chosen = z1 | sup
         if len(chosen) <= l:
-            if node.value < incumbent_val:
-                incumbent_val = node.value
-                incumbent = _finish(problem, scenarios, x, z=z_vector(chosen), lp_objective=bound)
+            if node.best.objective < incumbent_val:
+                incumbent_val = node.best.objective
+                incumbent = node.solution(z=z_vector(chosen), scenario_count=scenarios.n)
             continue
         free = [j for j in sup if j not in z1]
         ratios = np.array([min(x[j] / caps[j], 1.0) for j in free])
@@ -464,13 +461,13 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
             solves += 1
             if solves > _NODE_LIMIT:
                 raise SolverError("branch-and-bound node limit exceeded")
-            if child.status == "iteration-limit":
-                return failed(child)
-            if child.status != "optimal" or child.bound >= incumbent_val - 1e-9:
+            if child.best.status == "iteration-limit":
+                return child.best
+            if child.best.status != "optimal" or child.bound >= incumbent_val - 1e-9:
                 continue
             counter += 1
             heapq.heappush(heap, (child.bound, counter, child_z0, child_z1, child))
 
     if incumbent is None:
-        return Solution(None, np.nan, np.nan, np.nan, "infeasible")
+        return _failed("infeasible")
     return incumbent

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -278,7 +280,6 @@ class ScenarioSet:
 
     points: np.ndarray
     probs: np.ndarray
-    source: str = "sampled"  # sampled | aggregated | file
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -306,10 +307,10 @@ class ScenarioSet:
         return self.probs @ self.points
 
     @classmethod
-    def equally_weighted(cls, points, source: str = "sampled") -> "ScenarioSet":
+    def equally_weighted(cls, points) -> "ScenarioSet":
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = points.shape[0]
-        return cls(points, np.full(n, 1.0 / n), source)
+        return cls(points, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -435,6 +436,20 @@ def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
     return names, np.asarray(rows, dtype=float)
 
 
+def atomic_write(path, text: str) -> None:
+    """Write `text` as UTF-8, line endings as given, through a renamed temporary file.
+
+    `path` then holds either its old content or all of the new one.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
     """Returns CSV: ticker header row, one row of decimal returns per month."""
     return read_csv(path)
@@ -442,12 +457,12 @@ def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
 
 def save_scenarios(scenarios: ScenarioSet, path) -> None:
     """Write `prob,y1..yd` CSV; floats use repr so a reload is bit-identical."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prob"] + [f"y{j + 1}" for j in range(scenarios.d)])
-        for p, y in zip(scenarios.probs, scenarios.points):
-            writer.writerow([repr(float(p))] + [repr(float(v)) for v in y])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["prob"] + [f"y{j + 1}" for j in range(scenarios.d)])
+    for p, y in zip(scenarios.probs, scenarios.points):
+        writer.writerow([repr(float(p))] + [repr(float(v)) for v in y])
+    atomic_write(path, buf.getvalue())
 
 
 def load_scenarios(path) -> ScenarioSet:
@@ -462,4 +477,4 @@ def load_scenarios(path) -> ScenarioSet:
         raise ConfigError(f"{path}: probabilities sum to {pr.sum()}, expected 1")
     if abs(pr.sum() - 1.0) > 1e-12:
         pr = pr / pr.sum()  # absorb sub-1e-9 rounding so the set invariant holds
-    return ScenarioSet(data[:, 1:].copy(), pr, source="file")
+    return ScenarioSet(data[:, 1:].copy(), pr)

@@ -1,8 +1,8 @@
 """Experiment drivers behind the CLI: desk-scale reproductions.
 
-Each driver reads its whole JSON config before any work, so a missing or
-malformed value raises ConfigError and leaves no output behind. It then
-derives every random stream from the master seed and writes CSV tables
+Each driver reads its whole JSON config before any work, so a missing,
+malformed or unknown key raises ConfigError and leaves no output behind. It
+then derives every random stream from the master seed and writes CSV tables
 (rows = trials, labeled columns) whose numeric content is byte-identical
 across reruns of the same (config, seed). Output files start with comment
 lines carrying the run's provenance: generator version, rng, master seed and
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from .cones import Cone, FeasibleRegion, conic_hull, project
 from .cvar_opt import (P1, Cardinality, PortfolioProblem, discrete_cvar,
                        solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
-                            fit_from_returns, load_returns_csv, load_scenarios,
+                            atomic_write, fit_from_returns, load_returns_csv, load_scenarios,
                             portfolio_loss_stats, read_csv, sample)
 from .errors import ConfigError
 from .risk_region import BOUNDARY_TOL, RiskRegion, estimate_nonrisk_prob
@@ -70,27 +69,45 @@ def provenance(config: dict, seed: int) -> dict:
             "seed": int(seed), "config_hash": hashlib.sha256(canon.encode()).hexdigest()}
 
 
+class _Recording:
+    """A view of a config that records the top-level keys read through it."""
+
+    def __init__(self, config):
+        self.config, self.read = config, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.config[key]
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return self.config.get(key, default)
+
+    def __contains__(self, key):
+        return key in self.config
+
+
 @contextmanager
-def _reading(what: str):
+def _reading(what: str, config):
     """Report a missing or malformed config value as ConfigError.
 
     Wrap only lookups and conversions of config values, never package
     computations, so a program fault is never reported as a config error.
     A list or number where the config needs an object raises AttributeError
-    at its first .get.
+    at its first .get. The block reads `config` through the view this
+    yields, and a top-level key the block did not read raises ConfigError
+    when the block ends.
     """
+    view = _Recording(config)
     try:
-        yield
+        yield view
     except KeyError as exc:
         raise ConfigError(f"{what}: {exc} is missing or unknown") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-
-
-def atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    unread = [key for key in config if key not in view.read]
+    if unread:
+        raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unread))}")
 
 
 def write_table(path: Path, prov: dict, columns: list[str], rows: list[list]) -> None:
@@ -163,16 +180,16 @@ def _quota_region(d: int, quota: float, capital: float = 1.0) -> FeasibleRegion:
 
 def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
     """Monte Carlo non-risk probabilities over (trial, quota, beta) grids."""
-    with _reading("prob-table config"):
-        dims = [int(v) for v in config.get("dimensions", [5])]
-        betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
-        quotas = [float(v) for v in config.get("quotas", [1.0])]
-        trials = int(config.get("trials", 5))
-        n_points = int(config.get("n_points", 2000))
-        family = config.get("family", "normal")
+    with _reading("prob-table config", config) as cfg:
+        dims = [int(v) for v in cfg.get("dimensions", [5])]
+        betas = [float(v) for v in cfg.get("betas", [0.95, 0.99])]
+        quotas = [float(v) for v in cfg.get("quotas", [1.0])]
+        trials = int(cfg.get("trials", 5))
+        n_points = int(cfg.get("n_points", 2000))
+        family = cfg.get("family", "normal")
         fam = _FAMILY_TAG[family]
-        nu = float(config.get("nu", 4.0))
-        load_universe = _universe_loader(config.get("source", {"synthetic": {}}), dims, seed)
+        nu = float(cfg.get("nu", 4.0))
+        load_universe = _universe_loader(cfg.get("source", {"synthetic": {}}), dims, seed)
     for d in dims:
         for q in quotas:
             _quota_region(d, q)  # validate feasibility up front
@@ -215,25 +232,25 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
     elliptical solver, or from a large reference sample for empirical
     sources.
     """
-    with _reading("stability config"):
-        nsets = int(config.get("sets", 50))
-        beta = float(config.get("beta", 0.95))
-        target = int(config.get("n_risk_target", 100))
-        match_effective = bool(config.get("match_effective", False))
-        quota = float(config.get("quota", 1.0))
-        override = config.get("threshold_override")
+    with _reading("stability config", config) as cfg:
+        nsets = int(cfg.get("sets", 50))
+        beta = float(cfg.get("beta", 0.95))
+        target = int(cfg.get("n_risk_target", 100))
+        match_effective = bool(cfg.get("match_effective", False))
+        quota = float(cfg.get("quota", 1.0))
+        override = cfg.get("threshold_override")
         threshold = None if override is None else float(override)
-        nu = float(config.get("nu", 4.0))
-        reference_n = int(config.get("reference_n", 200_000))
-        src = config.get("source", {"synthetic": {}})
+        nu = float(cfg.get("nu", 4.0))
+        reference_n = int(cfg.get("reference_n", 200_000))
+        src = cfg.get("source", {"synthetic": {}})
         empirical = "scenario_csv" in src
         if empirical:
             scenario_csv = src["scenario_csv"]
-            family = config.get("family", "student-t")
+            family = cfg.get("family", "student-t")
         else:
-            dims = [int(v) for v in config.get("dimensions", [10])]
-            trials = int(config.get("trials", 1))
-            family = config.get("family", "normal")
+            dims = [int(v) for v in cfg.get("dimensions", [10])]
+            trials = int(cfg.get("trials", 1))
+            family = cfg.get("family", "normal")
             fam = _FAMILY_TAG[family]
             load_universe = _universe_loader(src, dims, seed)
     if empirical:
@@ -311,17 +328,17 @@ def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effecti
 
 def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
     """Error induced by aggregation reduction, plus reduced proportions."""
-    with _reading("reduction-error config"):
-        dims = [int(v) for v in config.get("dimensions", [5])]
-        trials = int(config.get("trials", 1))
-        ns = [int(v) for v in config.get("sizes", [100, 200, 500])]
-        betas = [float(v) for v in config.get("betas", [0.95, 0.99])]
-        nsets = int(config.get("sets", 30))
-        quota = float(config.get("quota", 1.0))
-        family = config.get("family", "normal")
+    with _reading("reduction-error config", config) as cfg:
+        dims = [int(v) for v in cfg.get("dimensions", [5])]
+        trials = int(cfg.get("trials", 1))
+        ns = [int(v) for v in cfg.get("sizes", [100, 200, 500])]
+        betas = [float(v) for v in cfg.get("betas", [0.95, 0.99])]
+        nsets = int(cfg.get("sets", 30))
+        quota = float(cfg.get("quota", 1.0))
+        family = cfg.get("family", "normal")
         fam = _FAMILY_TAG[family]
-        nu = float(config.get("nu", 4.0))
-        load_universe = _universe_loader(config.get("source", {"synthetic": {}}), dims, seed)
+        nu = float(cfg.get("nu", 4.0))
+        load_universe = _universe_loader(cfg.get("source", {"synthetic": {}}), dims, seed)
     prov = provenance(config, seed)
     cell = partial(_reduction_cell, load_universe(), family, nu, seed, ns, betas, nsets, quota)
     results = _grid(cell, dims, trials, jobs)
@@ -375,8 +392,8 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     probability series, final out-of-sample box-plot data on a shared
     validation sample, and a summary table.
     """
-    with _reading("case-study config"):
-        src = config.get("source", {})
+    with _reading("case-study config", config) as cfg:
+        src = cfg.get("source", {})
         if "scenario_csv" in src:
             load_scenario_set = partial(load_scenarios, src["scenario_csv"])
         elif "synthetic_skewed" in src:
@@ -385,15 +402,15 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
                                         int(opts.get("n", 3000)), child_seed(seed, _T_CASE, 0))
         else:
             raise ConfigError("case study needs source.scenario_csv or source.synthetic_skewed")
-        l = int(config.get("max_assets", 4))
-        beta = float(config.get("beta", 0.99))
-        quota = float(config.get("quota", 1.0))
-        modes = config.get("modes", list(MODES))
-        saa_over = dict(config.get("saa", {}))
+        l = int(cfg.get("max_assets", 4))
+        beta = float(cfg.get("beta", 0.99))
+        quota = float(cfg.get("quota", 1.0))
+        modes = cfg.get("modes", list(MODES))
+        saa_over = dict(cfg.get("saa", {}))
         saa_configs = [SaaConfig(mode=mode, **saa_over) for mode in modes]
         validation_n = int(saa_over.get("validation_n", 100_000))
-        surrogate_family = config.get("surrogate_family", "student-t")
-        surrogate_nu = float(config.get("surrogate_nu", 4.0))
+        surrogate_family = cfg.get("surrogate_family", "student-t")
+        surrogate_nu = float(cfg.get("surrogate_nu", 4.0))
     scen = load_scenario_set()
     d = scen.d
     if d > 15 or l > 5:
@@ -462,8 +479,7 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
 def _points_from(config: dict, d: int) -> np.ndarray:
     """The config's points, one row of d coordinates each."""
     if "points" in config:
-        with _reading("points"):
-            pts = np.atleast_2d(np.asarray(config["points"], dtype=float))
+        pts = np.atleast_2d(np.asarray(config["points"], dtype=float))
     elif "points_csv" in config:
         _, pts = read_csv(config["points_csv"], header=False)
     else:
@@ -482,8 +498,9 @@ def _cone_from(config: dict) -> Cone:
 
 
 def run_project(config: dict, seed: int, out: Path) -> str:
-    cone = _cone_from(config)
-    pts = _points_from(config, cone.d)
+    with _reading("project config", config) as cfg:
+        cone = _cone_from(cfg)
+        pts = _points_from(cfg, cone.d)
     lines = []
     for y in pts:
         t0 = time.perf_counter()
@@ -496,10 +513,10 @@ def run_project(config: dict, seed: int, out: Path) -> str:
 
 
 def run_classify(config: dict, seed: int, out: Path) -> str:
-    cone = _cone_from(config)
-    pts = _points_from(config, cone.d)
-    with _reading("classify config"):
-        dspec = config["distribution"]
+    with _reading("classify config", config) as cfg:
+        cone = _cone_from(cfg)
+        pts = _points_from(cfg, cone.d)
+        dspec = cfg["distribution"]
         family = dspec.get("family", "normal")
         returns_csv = dspec.get("returns_csv")
         if returns_csv is None:
@@ -508,7 +525,7 @@ def run_classify(config: dict, seed: int, out: Path) -> str:
             nu = None if dspec.get("nu") is None else float(dspec["nu"])
         else:
             nu = float(dspec.get("nu", 4.0))
-        beta = float(config.get("beta", 0.95))
+        beta = float(cfg.get("beta", 0.95))
     if returns_csv is None:
         dist = EllipticalDistribution(family, mu, factor, nu)
     else:

@@ -36,16 +36,17 @@ _DOMINANCE_BLOCK = 1 << 16  # point-entry pairs screened at once
 class RiskRegion:
     """Elliptical risk region for a feasible-set conic hull at level beta.
 
-    Each region also keeps the archive of rays (and, for cones inside the
-    orthant, non-risk points) that classify_mask fills and reuses across
-    calls; it is a cache and never changes a verdict.
+    `image_cone`, computed from the other fields, is the image P K of the
+    cone under the distribution's factor P. Each region also keeps the
+    archive of rays (and, for cones inside the orthant, non-risk points)
+    that classify_mask fills and reuses across calls; it is a cache and
+    never changes a verdict.
     """
 
     dist: EllipticalDistribution
     cone: Cone
     beta: float
     threshold: float = None
-    image_cone: Cone = None
 
     def __post_init__(self):
         if not 0.5 < self.beta < 1.0:
@@ -55,8 +56,7 @@ class RiskRegion:
         q = spherical_quantile(self.dist.family, self.beta, self.dist.nu)
         if self.threshold is None:
             object.__setattr__(self, "threshold", q)
-        if self.image_cone is None:
-            object.__setattr__(self, "image_cone", transform(self.cone, self.dist.factor))
+        object.__setattr__(self, "image_cone", transform(self.cone, self.dist.factor))
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
         object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
         object.__setattr__(self, "_archive", _RayArchive(self.image_cone))
@@ -250,9 +250,9 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
     return risk
 
 
-def classify_batch(region: RiskRegion, scenarios: ScenarioSet, use_shortcuts: bool = True):
+def classify_batch(region: RiskRegion, scenarios: ScenarioSet):
     """Partition scenario indices into (risk, non-risk)."""
-    mask = classify_mask(region, scenarios.points, use_shortcuts=use_shortcuts)
+    mask = classify_mask(region, scenarios.points)
     idx = np.arange(scenarios.n)
     return idx[mask], idx[~mask]
 
@@ -270,11 +270,11 @@ def aggregate(region: RiskRegion, scenarios: ScenarioSet) -> ScenarioSet:
     pts, pr = scenarios.points, scenarios.probs
     nonrisk_mass = float(pr[~mask].sum())
     if nonrisk_mass <= 0.0:
-        return ScenarioSet(pts[mask], pr[mask] / pr[mask].sum(), source="aggregated")
+        return ScenarioSet(pts[mask], pr[mask] / pr[mask].sum())
     center = pr[~mask] @ pts[~mask] / nonrisk_mass
     new_pts = np.vstack([pts[mask], center[None, :]])
     new_pr = np.concatenate([pr[mask], [nonrisk_mass]])
-    return ScenarioSet(new_pts, new_pr, source="aggregated")
+    return ScenarioSet(new_pts, new_pr)
 
 
 def estimate_nonrisk_prob(region: RiskRegion, n: int, seed: int, sampler=None) -> float:

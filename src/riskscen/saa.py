@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (PortfolioProblem, Solution, _loss_tail, evaluate_objective,
+from .cvar_opt import (PortfolioProblem, _loss_tail, _solution, evaluate_objective,
                        solve_cardinality, solve_lp)
-from .distributions import (EllipticalDistribution, EmpiricalDistribution,
+from .distributions import (EllipticalDistribution, EmpiricalDistribution, atomic_write,
                             fit_from_returns, normal_quantile, sample)
 from .errors import ConfigError, SolverError
 from .risk_region import RiskRegion, estimate_nonrisk_prob
@@ -246,9 +246,8 @@ def _screen_candidates(problem, source, config, seed, history):
             key = (cvar, var)
             if best_key is None or key < best_key:
                 best_key = key
-                ret = float(x @ problem.mu)
-                best = Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", z=z,
-                                seed=int(seed), scenario_count=validation.n)
+                best = _solution(problem, x, cvar, z=z, seed=int(seed),
+                                 scenario_count=validation.n)
     return best
 
 
@@ -258,8 +257,5 @@ def write_history(history, path, meta: dict | None = None) -> None:
     An optional metadata record (generator version, seed, config hash) is
     written first.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}) + "\n")
-        for state in history:
-            fh.write(json.dumps(state.to_dict()) + "\n")
+    records = ([] if meta is None else [{"meta": meta}]) + [state.to_dict() for state in history]
+    atomic_write(path, "".join(json.dumps(record) + "\n" for record in records))

@@ -104,7 +104,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
     total = n_risk + n_nonrisk
     points = np.vstack(risk_points + [center[None, :]])
     probs = np.concatenate([np.full(n_risk, 1.0 / total), [n_nonrisk / total]])
-    scen = ScenarioSet(points, probs, source="aggregated")
+    scen = ScenarioSet(points, probs)
     return AggSampleReport(scen, n_risk, n_nonrisk, total, int(seed), center_in_risk)
 
 

@@ -10,11 +10,12 @@ case-study problem.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import ScenarioSet, save_scenarios
+from .distributions import ScenarioSet, atomic_write, save_scenarios
 from .seeding import rng_from
 
 
@@ -51,11 +52,12 @@ def write_synthetic_returns(path, d: int, months: int, seed: int,
                             family: str = "normal", nu: float = 4.0) -> Path:
     path = Path(path)
     tickers, returns = synthetic_returns(d, months, seed, family, nu)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(tickers)
-        for row in returns:
-            writer.writerow([repr(float(v)) for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(tickers)
+    for row in returns:
+        writer.writerow([repr(float(v)) for v in row])
+    atomic_write(path, buf.getvalue())
     return path
 
 
@@ -77,7 +79,7 @@ def skewed_scenarios(d: int, n: int, seed: int, nu: float = 4.0) -> ScenarioSet:
     crash_loading = rng.uniform(1.0, 2.0, size=d) * vols
     shock = rng.exponential(1.0, size=n) - 1.0  # centered so the drift stays mu
     points = mu + core - np.outer(shock, crash_loading)
-    return ScenarioSet.equally_weighted(points, source="file")
+    return ScenarioSet.equally_weighted(points)
 
 
 def write_skewed_scenarios(path, d: int, n: int, seed: int, nu: float = 4.0) -> Path:

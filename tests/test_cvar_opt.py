@@ -294,6 +294,7 @@ class TestSolveLpOracle:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(ref, abs=tol)
         assert sol.lp_objective == pytest.approx(ref, abs=tol)
+        assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
         assert region.contains(sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9
@@ -373,6 +374,7 @@ class TestSolveExact:
         assert sol.objective <= ref + 1e-9 * (1.0 + abs(sol.cvar))
         assert sol.lp_objective <= ref + 1e-9 * (1.0 + abs(ref))
         assert sol.objective - sol.lp_objective <= 1e-12 * (1.0 + abs(sol.objective))
+        assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
         assert region.contains(sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9
@@ -486,6 +488,7 @@ class TestCardinality:
         best = min(values)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
+        assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
         assert np.count_nonzero(np.abs(sol.x) > 1e-9) <= l
         assert region.contains(sol.x, tol=1e-9)
 

@@ -1,9 +1,13 @@
 """Tail functions against quadrature oracles, samplers, fitting, and IO."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oracles import cvar_oracle, quantile_oracle
+from riskscen import saa, synthetic
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
                                     ScenarioSet, fit_from_returns, load_scenarios,
                                     normal_quantile, portfolio_loss_stats, read_csv,
@@ -199,6 +203,34 @@ class TestScenarioIO:
         back = load_scenarios(path)
         assert np.array_equal(back.points, scen.points)
         assert np.array_equal(back.probs, scen.probs)
+
+    @pytest.mark.parametrize("writer", ["save_scenarios", "write_synthetic_returns",
+                                        "write_history", "rename"])
+    def test_interrupted_write_leaves_target_unchanged(self, tmp_path, monkeypatch, writer):
+        def interrupt(*args):
+            raise RuntimeError("interrupted")
+
+        class Interrupt:  # raises when a writer formats it as a row
+            __float__ = to_dict = interrupt
+
+        path = tmp_path / "target"
+        path.write_text("old content\n")
+        with pytest.raises(RuntimeError):
+            if writer == "save_scenarios":
+                scen = ScenarioSet.equally_weighted(np.zeros((2, 1)))
+                object.__setattr__(scen, "points", np.array([[0.1], [Interrupt()]], dtype=object))
+                save_scenarios(scen, path)
+            elif writer == "write_synthetic_returns":
+                monkeypatch.setattr(synthetic, "synthetic_returns",
+                                    lambda *args: (["A01"], [[0.1], [Interrupt()]]))
+                synthetic.write_synthetic_returns(path, 1, 2, 0)
+            elif writer == "write_history":
+                saa.write_history([SimpleNamespace(to_dict=dict), Interrupt()], path, meta={})
+            else:
+                monkeypatch.setattr(os, "replace", interrupt)
+                save_scenarios(ScenarioSet.equally_weighted(np.zeros((2, 1))), path)
+        assert path.read_text() == "old content\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
 
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import riskscen
 from riskscen import cli
 from riskscen.cones import ConeProjector, FeasibleRegion, conic_hull
 from riskscen.distributions import EllipticalDistribution, load_scenarios
@@ -26,6 +27,26 @@ def read_table(path):
     columns = body[0].split(",")
     rows = [l.split(",") for l in body[1:]]
     return meta, columns, rows
+
+
+PUBLIC_API = [
+    "AggSampleReport", "Cardinality", "Cone", "ConfigError", "EllipticalDistribution",
+    "EmpiricalDistribution", "FeasibleRegion", "PortfolioProblem", "RiskRegion",
+    "RiskscenError", "SaaConfig", "SaaState", "ScenarioSet", "Solution", "SolverError",
+    "aggregate", "aggregation_reduction", "aggregation_sampling", "classify_batch",
+    "cone_member", "conic_hull", "discrete_cvar", "estimate_gap", "estimate_nonrisk_prob",
+    "expected_effective_sample_size", "fit_from_returns", "is_risk", "load_scenarios",
+    "portfolio_loss_stats", "project_generators", "project_polyhedral", "run_saa", "sample",
+    "save_scenarios", "solve_cardinality", "solve_exact_elliptical", "solve_lp",
+    "spherical_cvar", "spherical_quantile", "update_ghost_bounds",
+]
+
+
+def test_public_api_is_pinned():
+    """Dropping or adding a public name is a deliberate change to this list."""
+    assert sorted(riskscen.__all__) == PUBLIC_API
+    missing = [name for name in PUBLIC_API if not hasattr(riskscen, name)]
+    assert missing == []
 
 
 class TestSynthetic:
@@ -252,6 +273,15 @@ class TestCli:
         assert res.returncode == 2
         assert "config error" in res.stderr
 
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dimensions": [2], "trials": 1, "betas": [0.9],
+                                   "n_point": 5}))
+        assert cli.main(["prob-table", "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'n_point'" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         res = self._run("classify", "--config", str(tmp_path / "nope.json"), "--seed", "1")
         assert res.returncode == 2
@@ -270,7 +300,7 @@ class TestCli:
     _TINY_SAA = {"n0": 20, "dn": 10, "replications": 2, "validation_n": 100,
                  "max_iterations": 1, "prob_estimate_n": 100}
 
-    # MISSING stands for a path that does not exist.
+    # MISSING stands for a path that does not exist, SCENARIOS for a valid scenario file.
     @pytest.mark.parametrize("command, config", [
         ("project", {"region": {"d": 2, "rows": [{"b": 0.5}]}, "points": [[1.0, 0.0]]}),
         ("project", {"region": {"d": 2, "upper": [0.6, 0.6, 0.6]}, "points": [[1.0, 0.0]]}),
@@ -307,6 +337,15 @@ class TestCli:
         ("project", 5),
         ("classify", {"cone": _CONE, "distribution": [1], "points": [[1.0, 0.0]]}),
         ("prob-table", {"dimensions": [2], "trials": 1, "source": {"synthetic": 5}}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "betas": [0.9], "n_point": 5}),
+        ("stability", {"dimensions": [2], "sets": 2, "n_risk_targt": 20}),
+        ("reduction-error", {"dimensions": [2], "sizes": [20], "sets": 1, "quotas": 1.0}),
+        ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_asset": 2,
+                        "beta": 0.9, "modes": ["basic-sampling"], "saa": _TINY_SAA}),
+        ("project", {"cone": _CONE, "points": [[1.0, 0.0]], "pionts": [[0.0, 1.0]]}),
+        ("classify", {"cone": _CONE, "distribution": _NORMAL_2D, "points": [[1.0, 0.0]],
+                      "bta": 0.9}),
+        ("stability", {"dimensions": [2], "sets": 2, "source": {"scenario_csv": "SCENARIOS"}}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
@@ -315,12 +354,17 @@ class TestCli:
             "ragged-facets", "ragged-generators", "ragged-points", "non-numeric-point",
             "classify-without-mu", "classify-ragged-factor", "prob-table-config-a-list",
             "stability-config-a-list", "case-study-config-a-list", "project-config-a-number",
-            "distribution-a-list", "synthetic-a-number"])
+            "distribution-a-list", "synthetic-a-number", "prob-table-misspelt-key",
+            "stability-misspelt-key", "reduction-error-misspelt-key", "case-study-misspelt-key",
+            "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""
+        scenarios = tmp_path / "scenarios.csv"
+        write_skewed_scenarios(scenarios, 2, 50, 1)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config).replace("MISSING", str(tmp_path / "missing.csv")))
+        cfg.write_text(json.dumps(config).replace("MISSING", str(tmp_path / "missing.csv"))
+                       .replace("SCENARIOS", str(scenarios)))
         out = tmp_path / "out"
         out.mkdir()
         assert cli.main([command, "--config", str(cfg), "--seed", "1",
