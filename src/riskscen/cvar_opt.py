@@ -22,7 +22,6 @@ size does not depend on the scenario count.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -113,20 +112,6 @@ class Solution:
     seed: int | None = None
     scenario_count: int | None = None
     lp_objective: float | None = None  # certified lower bound of the cutting-plane master, when one ran
-
-    def to_json(self) -> str:
-        doc = {
-            "x": None if self.x is None else [float(v) for v in self.x],
-            "objective": None if self.objective is None else float(self.objective),
-            "cvar": None if self.cvar is None else float(self.cvar),
-            "expected_return": None if self.expected_return is None else float(self.expected_return),
-            "status": self.status,
-            "seed": self.seed,
-            "scenario_count": self.scenario_count,
-        }
-        if self.z is not None:
-            doc["z"] = [int(v) for v in self.z]
-        return json.dumps(doc)
 
 
 def _loss_var(losses: np.ndarray, probs: np.ndarray, beta: float) -> float:

@@ -3,9 +3,9 @@
 Supported families are the multivariate Normal and Student-t (nu > 2): a
 random return is Y = P' X + mu with X spherical, so every portfolio loss is
 a scaled univariate tail plus a location shift. The univariate quantile and
-CVaR are implemented from scratch (rational approximation for the Normal,
-inverse incomplete beta for the t) and validated against quadrature oracles
-in the tests.
+CVaR are implemented from scratch: each quantile is one bisection of its CDF
+down to adjacent doubles, and the tests check the tail functions against
+quadrature oracles.
 
 Scenario sets are weighted discrete distributions persisted as CSV with a
 leading `prob` column.
@@ -45,39 +45,34 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
-# Acklam's rational approximation to the Normal quantile, then one Halley
-# step against the erfc-based CDF, which leaves the error near machine eps.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
+def _symmetric_quantile(cdf, p: float) -> float:
+    """The p-quantile of a continuous law symmetric about 0, by bisection on `cdf`.
+
+    Works on the lower tail mass m = min(p, 1 - p), which is exact in
+    floating point: hi doubles until cdf(-hi) <= m, then [lo, hi] halves
+    until lo and hi are adjacent doubles. The bracket certifies the answer,
+    cdf(-hi) <= m < cdf(-lo), with no tolerance; p = 0.5 gives exactly 0.0.
+    """
+    if not 0.0 < p < 1.0:
+        raise ConfigError("quantile level must be in (0, 1)")
+    m = min(p, 1.0 - p)
+    if m == 0.5:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while cdf(-hi) > m:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if cdf(-mid) > m:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return hi if p > 0.5 else -hi
 
 
 def normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ConfigError("quantile level must be in (0, 1)")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    e = normal_cdf(x) - p
-    u = e * _SQRT2PI * math.exp(0.5 * x * x)
-    return x - u / (1 + 0.5 * x * u)  # Halley refinement
+    return _symmetric_quantile(normal_cdf, p)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -138,52 +133,19 @@ def t_pdf(x: float, nu: float) -> float:
 
 
 def t_cdf(x: float, nu: float) -> float:
-    if x == 0.0:
-        return 0.5
-    z = nu / (nu + x * x)
-    tail = 0.5 * betainc_reg(0.5 * nu, 0.5, z)
+    x2 = x * x
+    w = x2 / (nu + x2)
+    # P(T <= -|x|) = I_z(nu/2, 1/2) / 2 with z = 1 - w; where betainc_reg would take that
+    # from 1 - z, which rounding spoils near x = 0, use I_w(1/2, nu/2) = 1 - I_z instead
+    if w < 3.0 / (nu + 5.0):
+        tail = 0.5 - 0.5 * betainc_reg(0.5, 0.5 * nu, w)
+    else:
+        tail = 0.5 * betainc_reg(0.5 * nu, 0.5, nu / (nu + x2))
     return 1.0 - tail if x > 0 else tail
 
 
 def t_quantile(p: float, nu: float) -> float:
-    """Student-t quantile via the inverse incomplete beta, Newton-polished."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError("quantile level must be in (0, 1)")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, nu)
-    # solve I_z(nu/2, 1/2) = 2(1-p) for z, then map back to t
-    target = 2.0 * (1.0 - p)
-    a, b = 0.5 * nu, 0.5
-    lo, hi = 0.0, 1.0
-    z = min(max(nu / (nu + normal_quantile(p) ** 2), 1e-12), 1 - 1e-12)
-    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    for _ in range(100):
-        f = betainc_reg(a, b, z) - target
-        if f > 0:
-            hi = z
-        else:
-            lo = z
-        if abs(f) < 1e-14:
-            break
-        dens = math.exp((a - 1) * math.log(z) + (b - 1) * math.log1p(-z) - ln_beta)
-        step = f / dens if dens > 0 else 0.0
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) < 1e-16:
-            z = z_new
-            break
-        z = z_new
-    t = math.sqrt(nu * (1.0 - z) / z)
-    for _ in range(3):  # polish directly on the t CDF
-        err = t_cdf(t, nu) - p
-        d = t_pdf(t, nu)
-        if d <= 0:
-            break
-        t -= err / d
-    return t
+    return _symmetric_quantile(lambda x: t_cdf(x, nu), p)
 
 
 def _check_family(family: str, nu: float | None) -> float | None:
@@ -359,10 +321,6 @@ def portfolio_loss_stats(dist: EllipticalDistribution, x, beta: float):
 # estimation and persistence
 
 
-def _upper_cholesky(S: np.ndarray) -> np.ndarray:
-    return np.linalg.cholesky(S).T
-
-
 def fit_from_returns(returns, family: str, nu: float = 4.0, weights=None) -> EllipticalDistribution:
     """Moment-based fit of an elliptical model to return rows.
 
@@ -394,10 +352,10 @@ def fit_from_returns(returns, family: str, nu: float = 4.0, weights=None) -> Ell
     nu_checked = _check_family(family, nu if family == STUDENT_T else None)
     scale = (nu_checked - 2.0) / nu_checked if family == STUDENT_T else 1.0
     try:
-        P = _upper_cholesky(scale * S)
+        P = np.linalg.cholesky(scale * S).T
     except np.linalg.LinAlgError:
         try:
-            P = _upper_cholesky(scale * S + 1e-10 * np.eye(d))
+            P = np.linalg.cholesky(scale * S + 1e-10 * np.eye(d)).T
         except np.linalg.LinAlgError as exc:
             raise ConfigError("sample covariance is not positive definite") from exc
     return EllipticalDistribution(family, mu, P, nu_checked)

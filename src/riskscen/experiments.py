@@ -70,33 +70,49 @@ def provenance(config: dict, seed: int) -> dict:
 
 
 class _Recording:
-    """A view of a config that records the top-level keys read through it."""
+    """A view of a config object that records the keys read through it.
 
-    def __init__(self, config):
-        self.config, self.read = config, set()
+    Each object read through a view, inside lists too, is handed out as a
+    view of its own with a dotted path, and every view joins `views`.
+    """
+
+    def __init__(self, config: dict, path: str = "", views: list | None = None):
+        self.config, self.path, self.read = config, path, {}
+        self.views = [] if views is None else views
+        self.views.append(self)
+
+    def _view(self, value, path: str):
+        if isinstance(value, dict):
+            return _Recording(value, path + ".", self.views)
+        if isinstance(value, list):
+            return [self._view(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return value
 
     def __getitem__(self, key):
-        self.read.add(key)
-        return self.config[key]
+        if key not in self.read:
+            self.read[key] = self._view(self.config[key], self.path + key)
+        return self.read[key]
 
     def get(self, key, default=None):
-        self.read.add(key)
-        return self.config.get(key, default)
+        return self[key] if key in self.config else default
 
     def __contains__(self, key):
         return key in self.config
 
+    def keys(self):
+        return self.config.keys()
+
 
 @contextmanager
-def _reading(what: str, config):
+def _reading(what: str, config: dict):
     """Report a missing or malformed config value as ConfigError.
 
     Wrap only lookups and conversions of config values, never package
     computations, so a program fault is never reported as a config error.
     A list or number where the config needs an object raises AttributeError
     at its first .get. The block reads `config` through the view this
-    yields, and a top-level key the block did not read raises ConfigError
-    when the block ends.
+    yields, and a key the block did not read, at any depth, raises
+    ConfigError naming its path when the block ends.
     """
     view = _Recording(config)
     try:
@@ -105,7 +121,7 @@ def _reading(what: str, config):
         raise ConfigError(f"{what}: {exc} is missing or unknown") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
-    unread = [key for key in config if key not in view.read]
+    unread = [v.path + key for v in view.views for key in v.config if key not in v.read]
     if unread:
         raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unread))}")
 

@@ -342,6 +342,9 @@ class TestConeBasics:
         assert cone_member(cone, np.zeros(3))
         assert cone_member(cone, [1.0, 0.0, 0.0])
         assert not cone_member(cone, [-1.0, -1.0, -1.0])
+        wedge = Cone(2, generators=[[1.0, 0.0], [1.0, 1.0]])  # no facets: the projection residual decides
+        assert cone_member(wedge, [2.0, 1.0])
+        assert not cone_member(wedge, [0.0, 1.0])
 
     def test_needs_some_form(self):
         with pytest.raises(ConfigError):

@@ -9,9 +9,10 @@ import pytest
 from oracles import cvar_oracle, quantile_oracle
 from riskscen import saa, synthetic
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
-                                    ScenarioSet, fit_from_returns, load_scenarios,
-                                    normal_quantile, portfolio_loss_stats, read_csv,
-                                    sample, save_scenarios, spherical_cvar, spherical_quantile)
+                                    ScenarioSet, fit_from_returns, load_scenarios, normal_cdf,
+                                    normal_pdf, normal_quantile, portfolio_loss_stats, read_csv,
+                                    sample, save_scenarios, spherical_cvar, spherical_quantile,
+                                    t_cdf, t_pdf, t_quantile)
 from riskscen.errors import ConfigError
 
 # Frozen from the quadrature/bisection oracles in oracles.py.
@@ -47,6 +48,32 @@ class TestSphericalTails:
         grid = np.linspace(1e-6, 1 - 1e-6, 1001)
         errs = [abs(normal_quantile(p) - stats.norm.ppf(p)) for p in grid]
         assert max(errs) < 1e-9
+
+    @pytest.mark.parametrize("nu", [None, 2.1, 3.0, 4.0, 10.0, 100.0])
+    def test_quantile_bracket_is_a_certificate(self, nu):
+        """|x| and the double below it bracket the tail mass min(p, 1 - p), and
+        scipy agrees to 1e-12 from p = 1e-12 to 1 - 1e-12."""
+        from scipy import stats
+        if nu is None:
+            quantile, cdf, ppf = normal_quantile, normal_cdf, stats.norm.ppf
+            density_at_0 = normal_pdf(0.0)
+        else:
+            quantile = lambda p: t_quantile(p, nu)  # noqa: E731
+            cdf = lambda x: t_cdf(x, nu)  # noqa: E731
+            ppf = lambda p: stats.t.ppf(p, nu)  # noqa: E731
+            density_at_0 = t_pdf(0.0, nu)
+        tails = np.logspace(-12, np.log10(0.25), 40)
+        grid = np.concatenate([tails, np.linspace(0.05, 0.95, 18), 1.0 - tails])  # 0.5 excluded
+        for p in map(float, grid):
+            x = quantile(p)
+            m = min(p, 1.0 - p)
+            assert cdf(-abs(x)) <= m < cdf(-np.nextafter(abs(x), 0.0)), p
+            assert abs(x - ppf(p)) <= 1e-12 * max(1.0, abs(x)), p
+        assert quantile(0.5) == 0.0
+        # within 1e-9 of the median scipy's t(4) ppf is off by 1e-8; the density
+        # at 0 gives the quantile there to O(x^3)
+        for p in (0.5 - 1e-9, 0.5 + 1e-9):
+            assert quantile(p) == pytest.approx((p - 0.5) / density_at_0, rel=1e-6)
 
     def test_cvar_near_zero_beta_is_mean(self):
         assert spherical_cvar("normal", 1e-6) == pytest.approx(0.0, abs=1e-4)
@@ -162,6 +189,14 @@ class TestFitting:
         R = np.column_stack([np.full(50, 0.01), np.random.default_rng(0).normal(size=50)])
         with pytest.raises(ConfigError):
             fit_from_returns(R, "normal")
+
+    def test_singular_covariance_gets_the_ridge(self):
+        # two identical columns with exact moments: S = [[4, 4, 0], [4, 4, 0], [0, 0, 1]]
+        # has a zero Cholesky pivot, so only S + 1e-10 I factors
+        a, b = [2.0, -2.0, 2.0, -2.0, 0.0], [1.0, 1.0, -1.0, -1.0, 0.0]
+        fit = fit_from_returns(np.column_stack([a, a, b]), "normal")
+        S = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.allclose(fit.covariance(), S + 1e-10 * np.eye(3), rtol=0.0, atol=1e-15)
 
     def test_one_dimensional_fit(self):
         rng = np.random.default_rng(13)

@@ -275,12 +275,16 @@ class TestCli:
 
     def test_unknown_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dimensions": [2], "trials": 1, "betas": [0.9],
-                                   "n_point": 5}))
-        assert cli.main(["prob-table", "--config", str(cfg), "--seed", "1",
-                         "--out", str(tmp_path / "out")]) == 2
-        assert "unknown key 'n_point'" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        for config, name in [
+            ({"dimensions": [2], "trials": 1, "betas": [0.9], "n_point": 5}, "'n_point'"),
+            ({"dimensions": [2], "source": {"synthetic": {"month": 5}}},
+             "'source.synthetic.month'"),
+        ]:
+            cfg.write_text(json.dumps(config))
+            assert cli.main(["prob-table", "--config", str(cfg), "--seed", "1",
+                             "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown key {name}" in capsys.readouterr().err
+            assert list((tmp_path / "out").iterdir()) == []
 
     def test_missing_config_exits_2(self, tmp_path):
         res = self._run("classify", "--config", str(tmp_path / "nope.json"), "--seed", "1")
@@ -346,6 +350,13 @@ class TestCli:
         ("classify", {"cone": _CONE, "distribution": _NORMAL_2D, "points": [[1.0, 0.0]],
                       "bta": 0.9}),
         ("stability", {"dimensions": [2], "sets": 2, "source": {"scenario_csv": "SCENARIOS"}}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "betas": [0.9], "n_points": 50,
+                        "source": {"synthetic": {"month": 5}}}),
+        ("project", {"cone": dict(_CONE, generator=[[1.0, 0.0]]), "points": [[1.0, 0.0]]}),
+        ("project", {"region": {"d": 2, "rows": [{"a": [1.0, 0.0], "b": 0.5, "bb": 1.0}]},
+                     "points": [[1.0, 0.0]]}),
+        ("classify", {"cone": _CONE, "distribution": dict(_NORMAL_2D, famliy="student-t"),
+                      "points": [[1.0, 0.0]]}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
@@ -356,7 +367,9 @@ class TestCli:
             "stability-config-a-list", "case-study-config-a-list", "project-config-a-number",
             "distribution-a-list", "synthetic-a-number", "prob-table-misspelt-key",
             "stability-misspelt-key", "reduction-error-misspelt-key", "case-study-misspelt-key",
-            "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv"])
+            "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv",
+            "synthetic-misspelt-key", "cone-misspelt-key", "region-row-misspelt-key",
+            "distribution-misspelt-key"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""

@@ -65,12 +65,63 @@ def test_unbounded():
 
 
 def test_degenerate_rhs_zero_rows():
-    # Many tight rows at the origin; Bland fallback must still terminate.
+    # Many tight rows at the origin: the degenerate pivots still terminate.
+    # This LP ends before the switch to Bland's rule; the tests below reach it.
     rng = np.random.default_rng(0)
     A = rng.normal(size=(40, 5))
     res = lp.solve(rng.normal(size=5), A_ub=A, b_ub=np.zeros(40),
                    bounds=[(0, 1)] * 5)
     assert res.status == "optimal"
+
+
+def _slack_tableau(A, b):
+    """The all-slack tableau [A | I | b] of A y <= b, y >= 0, and its basis."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    return np.hstack([A, np.eye(m), np.asarray(b, dtype=float)[:, None]]), np.arange(n, n + m)
+
+
+@pytest.mark.parametrize("c, A, b, optimum", [
+    # Beale's LP (1955), which cycles under the most-negative reduced cost
+    ([-0.75, 20.0, -0.5, 6.0],
+     [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+     [0.0, 0.0, 1.0], -1.25),
+    # one degenerate pivot reaches the optimum, so Bland's rule declares it
+    ([-1.0], [[1.0]], [0.0], 0.0),
+], ids=["beale", "degenerate-optimum"])
+def test_bland_rule_primal_pass(c, A, b, optimum):
+    """With bland_after=0 the first degenerate pivot switches to Bland's rule."""
+    T, basis = _slack_tableau(A, b)
+    cost = np.append(c, np.zeros(len(b)))
+    assert lp._run_simplex(T, basis, cost, 1000, 0)[0] == "optimal"
+    y = np.zeros(cost.size)
+    y[basis] = T[:, -1]
+    ref = linprog(c, A_ub=A, b_ub=b, method="highs")
+    assert cost @ y == pytest.approx(optimum, abs=1e-12)
+    assert ref.fun == pytest.approx(optimum, abs=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_bland_rule_dual_pass_matches_scipy_verdict(trial):
+    """Zero costs make every dual pivot degenerate, so bland_after=0 runs it all under Bland."""
+    rng = np.random.default_rng(5000 + trial)
+    A = rng.normal(size=(5, 3))
+    b = rng.normal(size=5) - 0.5
+    T, basis = _slack_tableau(A, b)
+    status, _ = lp._run_dual_simplex(T, basis, np.zeros(8), 1000, 0)
+    ref = linprog(np.zeros(3), A_ub=A, b_ub=b, method="highs")
+    assert status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if status == "optimal":
+        y = np.zeros(8)
+        y[basis] = T[:, -1]
+        assert np.all(A @ y[:3] <= b + 1e-9) and np.all(y >= -1e-12)
+
+
+def test_dual_pass_leaves_a_rounding_row_stuck_not_infeasible():
+    # rhs -1e-11 is below DUAL_STOP_TOL but above -FEAS_TOL, and the row has
+    # no negative entry to pivot on: rounding, not an infeasibility proof.
+    T = np.array([[1.0, 1.0, -1e-11]])
+    assert lp._run_dual_simplex(T, np.array([1]), np.zeros(2), 100, 0)[0] == "optimal"
 
 
 @pytest.mark.parametrize("trial", range(80))
