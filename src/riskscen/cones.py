@@ -85,15 +85,6 @@ class FeasibleRegion:
     def m(self) -> int:
         return self.A.shape[0]
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            abs(x.sum() - self.capital) <= tol
-            and np.all(x >= self.lower - tol)
-            and np.all(x <= self.upper + tol)
-            and (self.m == 0 or np.all(self.A @ x <= self.b + tol))
-        )
-
     def with_bounds(self, lower, upper) -> "FeasibleRegion":
         """Same rows, bounds intersected with the given box."""
         return FeasibleRegion(
@@ -307,11 +298,13 @@ def _passive_solve(Q, A, B, AtB, passive):
     rows), all rows are solved in one batch through the Gram matrix A'A, and
     one refinement step on the residual (B - S A')A recovers most of the
     accuracy the normal equations lose. A ridge of eps * max_j |A_j|^2 on
-    the passive diagonal keeps exactly dependent passive columns solvable:
-    a least-distance program whose polytope has an equality as an opposing
-    row pair has two columns that are exact negatives, and near a
-    degenerate vertex both can enter. After the refinement step the ridge
-    moves a well-conditioned solution by O((ridge / lambda_min)^2).
+    the passive diagonal keeps exactly dependent passive columns solvable.
+    Its only measured consumer is project_polytope: an equality written as
+    an opposing row pair gives its least-distance program two columns that
+    are exact negatives, and near a degenerate vertex both can enter (a
+    cone's polar route with such a pair certifies without the ridge). After
+    the refinement step the ridge moves a well-conditioned solution by
+    O((ridge / lambda_min)^2).
     """
     count = passive.sum(axis=1)
     p = int(count.max(initial=0))
@@ -382,11 +375,6 @@ def project_polyhedral(cone: Cone, x0) -> np.ndarray:
     NNLS core; no facet enumeration of the primal cone is ever needed.
     """
     return ConeProjector(cone, prefer="facets").project(x0)
-
-
-def project(cone: Cone, x0) -> np.ndarray:
-    """Project onto the cone using whichever representation is present."""
-    return ConeProjector(cone).project(x0)
 
 
 def cone_member(cone: Cone, x, tol: float = MEMBER_TOL) -> bool:

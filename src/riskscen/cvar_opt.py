@@ -170,20 +170,14 @@ def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
     return _loss_tail(scenarios, x, beta)[2]
 
 
-def discrete_var(scenarios: ScenarioSet, x, beta: float) -> float:
-    """beta-quantile of the discrete loss distribution."""
-    losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    return _loss_var(losses, scenarios.probs, beta)
-
-
 def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> float:
     """The problem objective at x, with CVaR taken from the scenario set."""
     return problem.objective(discrete_cvar(scenarios, x, problem.beta),
                              float(np.asarray(x) @ problem.mu))
 
 
-def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
-    """A subgradient g of x -> discrete beta-CVaR of -x'y, with atom splitting.
+def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -> np.ndarray:
+    """A subgradient g of x -> discrete beta-CVaR of -x'y, from the losses at x and their VaR.
 
     g is -(w'Y)/(1-beta) for tail weights 0 <= w_i <= p_i summing to 1-beta:
     p_i above the VaR, and the leftover mass spread over the scenarios whose
@@ -191,12 +185,6 @@ def cvar_subgradient(scenarios: ScenarioSet, x, beta: float) -> np.ndarray:
     LP, so g'x' <= CVaR(x') for every x', with equality at x. Spreading over
     near-ties instead could push a scenario above the VaR past its p_i.
     """
-    losses = -(scenarios.points @ np.asarray(x, dtype=float))
-    return _tail_subgradient(scenarios, losses, _loss_var(losses, scenarios.probs, beta), beta)
-
-
-def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -> np.ndarray:
-    """cvar_subgradient from the losses at x and their VaR."""
     weights = np.where(losses > var, scenarios.probs, 0.0)
     at_var = losses == var
     residual = (1.0 - beta) - weights.sum()
@@ -246,9 +234,9 @@ def _scenario_risk(scenarios: ScenarioSet, beta: float):
     return risk
 
 
-def _elliptical_risk(dist: EllipticalDistribution, beta: float, mu: np.ndarray):
+def _elliptical_risk(dist: EllipticalDistribution, beta: float):
     """Risk oracle of the exact elliptical CVaR c ||P x|| - mu'x, gradient c P'P x / ||P x|| - mu."""
-    P, c = dist.factor, dist.tail_cvar(beta)
+    P, mu, c = dist.factor, dist.mu, dist.tail_cvar(beta)
 
     def risk(x):
         u = P @ x
@@ -351,13 +339,16 @@ def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistributi
     """Minimize the exact CVaR objective for elliptical returns.
 
     The CVaR of the loss -x'y is c ||P x|| - mu'x, with c the spherical
-    beta-CVaR of dist; the cutting-plane method minimizes it to a certified
-    relative gap of 1e-12, and `lp_objective` is the master bound, a lower
-    bound on the objective. A master that cannot certify raises SolverError.
+    beta-CVaR and mu the mean of dist (problem.mu must equal it); the
+    cutting-plane method minimizes it to a certified relative gap of 1e-12,
+    and `lp_objective` is the master bound, a lower bound on the objective.
+    A master that cannot certify raises SolverError.
     """
     if problem.cardinality is not None:
         raise ConfigError("exact elliptical solver handles continuous problems only")
-    risk = _elliptical_risk(dist, problem.beta, problem.mu)
+    if not np.array_equal(problem.mu, dist.mu):
+        raise ConfigError("the problem's mean is not the distribution's")
+    risk = _elliptical_risk(dist, problem.beta)
     node = _CuttingPlane(problem, risk, _EXACT_GAP_TOL).root(problem.region.upper)
     if node.best.status != "optimal":
         raise SolverError(f"exact elliptical master ended {node.best.status}")

@@ -20,11 +20,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .cones import Cone, FeasibleRegion, conic_hull, project
+from .cones import Cone, ConeProjector, FeasibleRegion, conic_hull
 from .cvar_opt import (P1, Cardinality, PortfolioProblem, discrete_cvar,
                        solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
@@ -142,9 +143,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _grid(cell, dims: list[int], trials: int, jobs: int) -> dict:
-    """{(d, trial): cell(d, trial)} over every dimension and trial, on up to `jobs` processes."""
-    keys = [(d, trial) for d in dims for trial in range(trials)]
+def _grid(cell, jobs: int, *axes) -> dict:
+    """{key: cell(*key)} for every key in the product of `axes`, on up to `jobs` processes."""
+    keys = list(product(*axes))
     if jobs <= 1 or len(keys) <= 1:
         return {key: cell(*key) for key in keys}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -211,7 +212,7 @@ def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
             _quota_region(d, q)  # validate feasibility up front
     prov = provenance(config, seed)
     cell = partial(_prob_cell, load_universe(), family, nu, seed, betas, quotas, n_points)
-    results = _grid(cell, dims, trials, jobs)
+    results = _grid(cell, jobs, dims, range(trials))
 
     paths = []
     for d in dims:
@@ -277,7 +278,7 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
     prov = provenance(config, seed)
     cell = partial(_stability_cell, source, family, nu, seed, beta, target, nsets,
                    match_effective, quota, threshold, reference_n)
-    results = _grid(cell, dims, trials, jobs)
+    results = _grid(cell, jobs, dims, range(trials))
 
     paths = []
     for d in dims:
@@ -357,7 +358,7 @@ def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> li
         load_universe = _universe_loader(cfg.get("source", {"synthetic": {}}), dims, seed)
     prov = provenance(config, seed)
     cell = partial(_reduction_cell, load_universe(), family, nu, seed, ns, betas, nsets, quota)
-    results = _grid(cell, dims, trials, jobs)
+    results = _grid(cell, jobs, dims, range(trials))
 
     paths = []
     for d in dims:
@@ -439,11 +440,10 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
                                cardinality=Cardinality(l))
     prov = provenance(config, seed)
 
-    results = {}
-    for mode, cfg in zip(modes, saa_configs):
-        best, history = run_saa(problem, source, cfg, child_seed(seed, _T_CASE, 1),
-                                surrogate=surrogate)
-        results[mode] = (best, history)
+    runs = _grid(partial(run_saa, problem, source, seed=child_seed(seed, _T_CASE, 1),
+                         surrogate=surrogate), jobs, saa_configs)
+    results = {mode: runs[(cfg,)] for mode, cfg in zip(modes, saa_configs)}
+    for mode, (_, history) in results.items():
         write_history(history, out / f"case-history-{mode}.jsonl", meta=prov)
 
     validation = sample(source, validation_n, child_seed(seed, _T_VAL))
@@ -520,7 +520,7 @@ def run_project(config: dict, seed: int, out: Path) -> str:
     lines = []
     for y in pts:
         t0 = time.perf_counter()
-        p = project(cone, y)
+        p = ConeProjector(cone).project(y)
         dt = time.perf_counter() - t0
         lines.append(f"point {np.array2string(y, precision=8)} -> projection "
                      f"{np.array2string(p, precision=8)} |p|={np.linalg.norm(p):.8g} "

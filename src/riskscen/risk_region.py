@@ -65,10 +65,6 @@ class RiskRegion:
     def d(self) -> int:
         return self.dist.d
 
-    def consistent_threshold(self) -> bool:
-        """Whether the stored threshold is the recomputed spherical quantile."""
-        return self.threshold == spherical_quantile(self.dist.family, self.beta, self.dist.nu)
-
     def spherical_coords(self, points: np.ndarray) -> np.ndarray:
         """z = P^{-T} (y - mu), one row per point."""
         Y = np.atleast_2d(np.asarray(points, dtype=float))

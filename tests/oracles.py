@@ -19,6 +19,22 @@ from scipy import integrate, optimize
 
 
 # ---------------------------------------------------------------------------
+# feasible regions
+
+
+def in_region(region, x, tol: float = 1e-8) -> bool:
+    """Whether x meets every constraint of a FeasibleRegion to within tol:
+    the budget, the bounds and the inequality rows."""
+    x = np.asarray(x, dtype=float)
+    return bool(
+        abs(x.sum() - region.capital) <= tol
+        and np.all(x >= region.lower - tol)
+        and np.all(x <= region.upper + tol)
+        and (region.m == 0 or np.all(region.A @ x <= region.b + tol))
+    )
+
+
+# ---------------------------------------------------------------------------
 # cone projection oracles
 
 
@@ -209,7 +225,7 @@ def cvar_at(points, probs, beta, x) -> float:
     return (probs[gt] @ losses[gt] + var * (p_le - beta)) / (1.0 - beta)
 
 
-def cvar_subgradient_at(points, probs, beta, x) -> np.ndarray:
+def tail_subgradient_at(points, probs, beta, x) -> np.ndarray:
     """-(w'Y)/(1-beta) with w = p above var_at, and the leftover tail mass
     spread over the losses equal to it in proportion to p."""
     losses = -(points @ x)

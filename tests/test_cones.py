@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from oracles import (project_generators_oracle, project_polyhedral_nnls_oracle,
+from oracles import (in_region, project_generators_oracle, project_polyhedral_nnls_oracle,
                      project_polyhedral_oracle)
 from riskscen import cones
 from riskscen.cones import (Cone, ConeProjector, FeasibleRegion, cone_member, conic_hull, nnls,
-                            project, project_generators, project_polyhedral, project_polytope,
-                            transform)
+                            project_generators, project_polyhedral, project_polytope, transform)
 from riskscen.distributions import fit_from_returns
 from riskscen.errors import ConfigError, SolverError
 from riskscen.synthetic import synthetic_returns
-from shapes import SHAPES
+from shapes import SHAPES, sector_pair_region
 
 
 def orthant(d, form="both"):
@@ -96,13 +95,13 @@ class TestConicHull:
             x = rng.uniform(0, 1, 3)
             if cone_member(cone, x, tol=0) and x.sum() > 1e-9:
                 scaled = region.capital / x.sum() * x
-                assert region.contains(scaled, tol=1e-9)
+                assert in_region(region, scaled, tol=1e-9)
                 hits += 1
         assert hits > 20
         # and region points always belong to the cone
         for _ in range(200):
             w = rng.dirichlet([1.0, 1.0, 1.0]) * region.capital
-            if region.contains(w, tol=0):
+            if in_region(region, w, tol=0):
                 assert cone_member(cone, w, tol=1e-9)
 
 
@@ -299,6 +298,30 @@ class TestProjectPolytope:
             project_polytope(np.zeros(2), G, np.array([-1.0, -1.0]))
 
 
+class TestOppositeColumns:
+    @pytest.mark.parametrize("d", [4, 6, 10])
+    def test_polar_generator_of_an_equality_pair(self, d):
+        """A sector equality written as two opposite rows gives K' two exactly
+        opposite facets, so the polar-route NNLS of classify_mask has two
+        exactly opposite columns. Points at and near their generator g
+        project with certificates (nnls raises SolverError otherwise), and
+        agree with scipy's NNLS."""
+        region = sector_pair_region(d)
+        projector = region._projector
+        G = projector.G
+        pair = np.flatnonzero((G @ G.T < -1.0 + 1e-12).any(axis=1))
+        assert projector.via_polar and pair.size == 2
+        g = G[pair[0]]
+        rng = np.random.default_rng(d)
+        for s in (1.0, 3.0):
+            for eps in (0.0, 1e-12, 1e-9, 1e-6):
+                V = s * g + eps * rng.normal(size=(64, d))
+                P = projector.project(V)
+                ref = project_polyhedral_nnls_oracle(region.image_cone.facets, V)
+                assert np.abs(P - ref).max() <= 1e-9 * (1.0 + s)
+                assert np.abs(projector.project(V[0]) - ref[0]).max() <= 1e-9 * (1.0 + s)
+
+
 class TestProjectionProperties:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -308,8 +331,9 @@ class TestProjectionProperties:
         cone = Cone(d, facets=rng.normal(size=(int(rng.integers(1, 7)), d)))
         x = rng.normal(size=d) * 2
         y = rng.normal(size=d) * 2
-        px, py = project(cone, x), project(cone, y)
-        assert np.linalg.norm(project(cone, px) - px) < 1e-10
+        projector = ConeProjector(cone)
+        px, py = projector.project(x), projector.project(y)
+        assert np.linalg.norm(projector.project(px) - px) < 1e-10
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
 
     @given(st.integers(0, 10_000))
@@ -333,7 +357,9 @@ class TestProjectionProperties:
         d = int(rng.integers(2, 6))
         cone = Cone(d, generators=rng.normal(size=(int(rng.integers(1, 7)), d)))
         x = rng.normal(size=d)
-        assert np.allclose(project(cone, lam * x), lam * project(cone, x), atol=1e-8 * (1 + lam))
+        projector = ConeProjector(cone)
+        assert np.allclose(projector.project(lam * x), lam * projector.project(x),
+                           atol=1e-8 * (1 + lam))
 
 
 class TestConeBasics:

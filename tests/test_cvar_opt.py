@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import (cvar_at, cvar_subgradient_at, elliptical_objective_oracle, ru_lp_oracle,
-                     simplex_cvar_oracle, var_at)
+from oracles import (cvar_at, elliptical_objective_oracle, in_region, ru_lp_oracle,
+                     simplex_cvar_oracle, tail_subgradient_at, var_at)
 from riskscen import cvar_opt
 from riskscen.cones import FeasibleRegion, conic_hull
-from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, cvar_subgradient,
-                               discrete_cvar, discrete_var, solve_cardinality,
-                               solve_exact_elliptical, solve_lp)
+from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, _loss_tail, _scenario_risk,
+                               discrete_cvar, solve_cardinality, solve_exact_elliptical,
+                               solve_lp)
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
-                                    fit_from_returns, sample)
+                                    fit_from_returns, portfolio_loss_stats, sample)
 from riskscen.errors import ConfigError, SolverError
 from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.scenario_gen import aggregation_reduction, aggregation_sampling
@@ -54,7 +54,7 @@ class TestDiscreteCvar:
 
     def test_var_atom(self):
         scen = equal_losses(range(1, 11))
-        assert discrete_var(scen, [1.0], 0.9) == pytest.approx(9.0)
+        assert _loss_tail(scen, [1.0], 0.9)[1] == pytest.approx(9.0)
 
 
 @st.composite
@@ -91,10 +91,10 @@ class TestLossSelection:
 
     def _assert_exact(self, scen, x, beta):
         pts, probs = scen.points, scen.probs
-        assert discrete_var(scen, x, beta) == var_at(pts, probs, beta, x)
+        assert _loss_tail(scen, x, beta)[1] == var_at(pts, probs, beta, x)
         assert discrete_cvar(scen, x, beta) == cvar_at(pts, probs, beta, x)
-        assert np.array_equal(cvar_subgradient(scen, x, beta),
-                              cvar_subgradient_at(pts, probs, beta, x))
+        assert np.array_equal(_scenario_risk(scen, beta)(x)[1](),
+                              tail_subgradient_at(pts, probs, beta, x))
 
     @given(dyadic_scenario_sets())
     @settings(max_examples=400, deadline=None)
@@ -136,7 +136,7 @@ class TestCvarSubgradient:
         pts[:3, 0] = [-5.0, -(3.0 + 5e-9), -3.0]
         pts[1, 1] = -10.0
         scen = ScenarioSet.equally_weighted(pts)
-        g = cvar_subgradient(scen, [1.0, 0.0], 0.88)
+        g = _scenario_risk(scen, 0.88)([1.0, 0.0])[1]()
         assert g @ [0.0, 1.0] <= discrete_cvar(scen, [0.0, 1.0], 0.88) + 1e-12
         assert g @ [1.0, 0.0] == pytest.approx(discrete_cvar(scen, [1.0, 0.0], 0.88), abs=1e-12)
 
@@ -144,7 +144,7 @@ class TestCvarSubgradient:
     @given(tied_scenario_sets())
     def test_cut_is_valid_everywhere_and_tight_at_its_point(self, case):
         scen, x, other, beta = case
-        g = cvar_subgradient(scen, x, beta)
+        g = _scenario_risk(scen, beta)(x)[1]()
         cvar_other = discrete_cvar(scen, other, beta)
         assert g @ other <= cvar_other + 1e-12 * (1.0 + abs(cvar_other))
         cvar = discrete_cvar(scen, x, beta)
@@ -258,7 +258,7 @@ class TestSolveLp:
         region = RiskRegion(dist, conic_hull(problem.region), beta)
         sol = solve_lp(problem, scen)
         losses = -(scen.points @ sol.x)
-        var = discrete_var(scen, sol.x, beta)
+        var = _loss_tail(scen, sol.x, beta)[1]
         tail_atoms = scen.points[losses >= var - 1e-12]
         assert classify_mask(region, tail_atoms).all(), "fixture broke: tail not all risk"
         reduced = aggregation_reduction(region, scen)
@@ -295,7 +295,7 @@ class TestSolveLpOracle:
         assert sol.objective == pytest.approx(ref, abs=tol)
         assert sol.lp_objective == pytest.approx(ref, abs=tol)
         assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
-        assert region.contains(sol.x, tol=1e-9)
+        assert in_region(region, sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9
 
@@ -352,6 +352,23 @@ class TestSolveExact:
     def test_matches_slsqp_oracle_with_lower_bounds(self, mode, lam):
         self._check_against_slsqp(10, 7, mode, lam, lower=0.05)
 
+    def test_mean_must_be_the_distributions(self):
+        dist = EllipticalDistribution("normal", np.full(3, 0.01), 0.05 * np.eye(3))
+        problem = PortfolioProblem(FeasibleRegion(3, 1.0), 0.95, mu=np.array([0.01, 0.01, 0.02]))
+        with pytest.raises(ConfigError):
+            solve_exact_elliptical(problem, dist)
+
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    def test_cvar_is_the_closed_form_at_the_solution(self, mode, lam):
+        # run_stability grades gaps with portfolio_loss_stats against this cvar,
+        # so at the optimum itself the gap reads exactly 0
+        _, returns = synthetic_returns(10, 240, 7, family="student-t")
+        dist = fit_from_returns(returns, "student-t", nu=4.0)
+        problem = PortfolioProblem(FeasibleRegion(10, 1.0, upper=np.full(10, 0.3)), 0.95,
+                                   mu=dist.mu, mode=mode, lam=lam)
+        sol = solve_exact_elliptical(problem, dist)
+        assert sol.cvar == portfolio_loss_stats(dist, sol.x, 0.95)[1]
+
     def test_uncertified_solve_raises(self, monkeypatch):
         monkeypatch.setattr(cvar_opt, "_CUTS_PER_DIM", 0)
         _, returns = synthetic_returns(10, 240, 7, family="student-t")
@@ -375,7 +392,7 @@ class TestSolveExact:
         assert sol.lp_objective <= ref + 1e-9 * (1.0 + abs(ref))
         assert sol.objective - sol.lp_objective <= 1e-12 * (1.0 + abs(sol.objective))
         assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
-        assert region.contains(sol.x, tol=1e-9)
+        assert in_region(region, sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9
 
@@ -490,7 +507,7 @@ class TestCardinality:
         assert sol.objective == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
         assert sol.lp_objective <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
         assert np.count_nonzero(np.abs(sol.x) > 1e-9) <= l
-        assert region.contains(sol.x, tol=1e-9)
+        assert in_region(region, sol.x, tol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_root_within_the_limit_ends_without_branching(self, monkeypatch, seed):

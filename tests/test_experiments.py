@@ -398,7 +398,8 @@ class TestDeterminism:
         (p2,) = run_prob_table(config, 41, b)
         assert p1.read_bytes() == p2.read_bytes()
 
-    # 2 dimensions x 2 trials, so jobs=2 really fans the cells out to a pool
+    # 2 dimensions x 2 trials (or 3 case-study modes), so jobs=2 really fans
+    # the cells out to a pool
     @pytest.mark.parametrize("run, config", [
         (run_prob_table, {"family": "normal", "dimensions": [2, 3], "betas": [0.95],
                           "quotas": [1.0], "trials": 2, "n_points": 200,
@@ -409,7 +410,13 @@ class TestDeterminism:
         (run_reduction_error, {"family": "normal", "dimensions": [2, 3], "trials": 2,
                                "sizes": [40], "betas": [0.95], "sets": 2,
                                "source": {"synthetic": {"months": 100}}}),
-    ], ids=["prob-table", "stability", "reduction-error"])
+        (run_case_study, {"source": {"synthetic_skewed": {"d": 5, "n": 400}},
+                          "max_assets": 2, "beta": 0.95,
+                          "modes": ["basic-sampling", "aggregation", "aggregation+ghost"],
+                          "saa": {"n0": 30, "dn": 10, "replications": 2, "validation_n": 500,
+                                  "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2,
+                                  "prob_estimate_n": 300}}),
+    ], ids=["prob-table", "stability", "reduction-error", "case-study"])
     def test_jobs_do_not_change_bytes(self, tmp_path, run, config):
         a = tmp_path / "a"
         b = tmp_path / "b"

@@ -6,11 +6,11 @@ import pytest
 from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
 from riskscen import risk_region
 from riskscen.cones import Cone, FeasibleRegion, conic_hull, project_polyhedral
-from riskscen.distributions import EllipticalDistribution, ScenarioSet
+from riskscen.distributions import EllipticalDistribution, ScenarioSet, spherical_quantile
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
                                   estimate_nonrisk_prob, is_risk)
-from shapes import SHAPES, ghost_box_region, quota_region
+from shapes import SHAPES, ghost_box_region, quota_region, sector_pair_region
 
 
 def standard_region(beta=0.95, d=2, family="normal", nu=None):
@@ -21,7 +21,8 @@ def standard_region(beta=0.95, d=2, family="normal", nu=None):
 class TestConstruction:
     def test_threshold_recomputed(self):
         region = standard_region()
-        assert region.consistent_threshold()
+        assert region.threshold == spherical_quantile(region.dist.family, region.beta,
+                                                      region.dist.nu)
         assert region.threshold == pytest.approx(1.6448536269514726, abs=1e-9)
 
     def test_beta_must_be_tail_level(self):
@@ -147,6 +148,17 @@ class TestRayBounds:
                 assert np.array_equal(mask, classify_mask(region, Y, use_shortcuts=False))
                 calls.clear()
         assert projected < screened / 4
+
+
+class TestOppositeFacetPair:
+    @pytest.mark.parametrize("d", [4, 6, 10])
+    def test_shortcuts_keep_the_exact_mask(self, d):
+        """K' has two exactly opposite facets (a sector equality as a row
+        pair); the shortcut tiers leave the projected mask unchanged."""
+        region = sector_pair_region(d)
+        Y = region.dist.draw(np.random.default_rng(d), 5000)
+        assert np.array_equal(classify_mask(region, Y),
+                              classify_mask(region, Y, use_shortcuts=False))
 
 
 class TestOracleAgreement:
