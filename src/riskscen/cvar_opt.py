@@ -115,40 +115,26 @@ class Solution:
 
 
 def _loss_var(losses: np.ndarray, probs: np.ndarray, beta: float) -> float:
-    """beta-quantile (VaR) of a weighted discrete loss vector, by selection.
+    """beta-quantile (VaR) of a weighted discrete loss vector, counted from the tail.
 
-    The VaR is the first loss, in stable ascending order, at which the
-    cumulative probability reaches beta - 1e-12. Any m losses carry at most
-    m * max(p) of mass, so for the largest m with
-    m * max(p) * (1 + 1e-9) < beta - 1e-12 the m smallest losses cannot
-    reach it, and the VaR lies among the k = n - m largest. The 1e-9 margin
-    is far above the rounding of any cumulative sum, so the bound also holds
-    for the sums a full sort computes. One introselect (np.argpartition)
-    splits off the m smallest; only the k largest are sorted. Their
-    cumulative mass continues one running sum over the bottom m, added one
-    at a time as a full sort's cumsum adds them. The bottom m (and ties in
-    the top k) are added in the order argpartition leaves them, which can
-    change a partial sum by rounding alone; with equal weights it changes
-    nothing, so every partial sum, and hence the VaR, is the full sort's bit
-    for bit.
+    The VaR is the smallest loss whose exceedance mass P[loss > VaR] is at
+    most 1 - beta + 1e-12 (for mass 1: where the cumulative mass reaches
+    beta - 1e-12). The m smallest losses carry at most m * max(p), so for the
+    largest m with m * max(p) * (1 + 1e-9) < beta - 1e-12 the VaR lies among
+    the k = n - m largest. One np.argpartition splits those off, and only
+    they are sorted, in descending order. Their cumulative mass adds about
+    (1-beta) n terms, none above 1 - beta, so its rounding stays far below
+    the 1e-12 slack. The order of ties changes no VaR value.
     Equal weights give k = ceil((1-beta) n) or one more; an aggregated set
     whose heavy atom carries most of the mass gives m = 0, the full sort.
     """
     n = losses.size
-    target = beta - 1e-12
-    m = min(max(math.ceil(target / (probs.max() * (1.0 + 1e-9))) - 1, 0), n - 1)
-    below, top = 0.0, slice(None)
-    if m > 0:
-        part = np.argpartition(losses, m)
-        below = np.cumsum(probs[part[:m]])[-1]
-        top = part[m:]
-    top_losses = losses[top]
-    order = np.argsort(top_losses, kind="stable")
-    mass = probs[top][order]
-    mass[0] += below
-    cum = np.cumsum(mass)
-    idx = min(int(np.searchsorted(cum, target)), n - m - 1)
-    return float(top_losses[order[idx]])
+    m = min(max(math.ceil((beta - 1e-12) / (probs.max() * (1.0 + 1e-9))) - 1, 0), n - 1)
+    top = np.argpartition(losses, m)[m:]
+    order = top[np.argsort(losses[top])[::-1]]
+    cum = np.cumsum(probs[order])
+    idx = min(int(np.searchsorted(cum, (1.0 - beta) + 1e-12, side="right")), n - m - 1)
+    return float(losses[order[idx]])
 
 
 def _loss_tail(scenarios: ScenarioSet, x, beta: float):

@@ -423,9 +423,10 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
         beta = float(cfg.get("beta", 0.99))
         quota = float(cfg.get("quota", 1.0))
         modes = cfg.get("modes", list(MODES))
+        if not modes:
+            raise ConfigError("case study needs at least one mode")
         saa_over = dict(cfg.get("saa", {}))
         saa_configs = [SaaConfig(mode=mode, **saa_over) for mode in modes]
-        validation_n = int(saa_over.get("validation_n", 100_000))
         surrogate_family = cfg.get("surrogate_family", "student-t")
         surrogate_nu = float(cfg.get("surrogate_nu", 4.0))
     scen = load_scenario_set()
@@ -446,7 +447,7 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     for mode, (_, history) in results.items():
         write_history(history, out / f"case-history-{mode}.jsonl", meta=prov)
 
-    validation = sample(source, validation_n, child_seed(seed, _T_VAL))
+    validation = sample(source, saa_configs[0].validation_n, child_seed(seed, _T_VAL))
     iters = max(len(h) for _, h in results.values())
     gap_rows = []
     prob_rows = []

@@ -56,6 +56,8 @@ class SaaConfig:
             raise ConfigError("sample sizes must be positive")
         if self.replications < 2:
             raise ConfigError("need at least two replications")
+        if self.max_iterations < 1:
+            raise ConfigError("need at least one iteration")
         if not 0.5 < self.alpha_gap < 1.0 or not 0.0 < self.alpha_ghost < 1.0:
             raise ConfigError("confidence levels must be in (0.5, 1) / (0, 1)")
         if self.mode not in MODES:

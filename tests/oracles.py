@@ -209,12 +209,24 @@ def grid_search_cvar(points: np.ndarray, probs: np.ndarray, beta: float,
 
 
 def var_at(points, probs, beta, x) -> float:
-    """beta-VaR of -x'y from a full stable sort of the losses."""
+    """beta-VaR of -x'y: the first loss, in stable ascending order, whose
+    cumulative mass reaches beta - 1e-12 (the largest loss if none does).
+
+    Each prefix of the sorted masses is summed by math.fsum, which is
+    correctly rounded, so the prefix sums never fall as the prefix grows, and
+    a bisection over prefix lengths finds the first that reaches the target.
+    """
     losses = -(points @ x)
     order = np.argsort(losses, kind="stable")
-    cum = np.cumsum(probs[order])
-    idx = min(int(np.searchsorted(cum, beta - 1e-12)), losses.size - 1)
-    return float(losses[order][idx])
+    mass = probs[order].tolist()
+    lo, hi = 0, losses.size  # fsum(mass[:lo]) < target; hi reaches it, or is n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.fsum(mass[:mid]) >= beta - 1e-12:
+            hi = mid
+        else:
+            lo = mid
+    return float(losses[order[hi - 1]])
 
 
 def cvar_at(points, probs, beta, x) -> float:

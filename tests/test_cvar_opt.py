@@ -87,7 +87,9 @@ def dyadic_scenario_sets(draw):
 
 
 class TestLossSelection:
-    """The selection VaR equals the VaR of a full stable sort, bit for bit."""
+    """The selection VaR equals the exact VaR of `oracles.var_at`, whose
+    prefix sums are correctly rounded, and the CVaR and subgradient match
+    the oracles' bit for bit."""
 
     def _assert_exact(self, scen, x, beta):
         pts, probs = scen.points, scen.probs
@@ -101,8 +103,13 @@ class TestLossSelection:
     def test_ties_and_dyadic_weights(self, case):
         self._assert_exact(*case)
 
-    @pytest.mark.parametrize("n", [20_000, 200_000])
-    @pytest.mark.parametrize("beta", [0.95, 0.99])
+    # A running sum of the ~beta*n masses below the VaR drifts past the 1e-12
+    # slack in the last five cases.
+    _EQUAL = [(20_000, 0.95), (20_000, 0.99), (200_000, 0.95), (200_000, 0.99),
+              (100_000, 0.9), (100_000, 0.95), (100_000, 0.99), (100_000, 0.999),
+              (1_000_000, 0.5)]
+
+    @pytest.mark.parametrize("n, beta", _EQUAL, ids=[f"{b}-{n}" for n, b in _EQUAL])
     def test_equal_weights_at_scale(self, n, beta):
         rng = np.random.default_rng(n)
         scen = ScenarioSet.equally_weighted(0.01 + 0.05 * rng.standard_t(4, (n, 4)))

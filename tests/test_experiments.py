@@ -357,6 +357,11 @@ class TestCli:
                      "points": [[1.0, 0.0]]}),
         ("classify", {"cone": _CONE, "distribution": dict(_NORMAL_2D, famliy="student-t"),
                       "points": [[1.0, 0.0]]}),
+        ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_assets": 2,
+                        "beta": 0.9, "modes": [], "saa": _TINY_SAA}),
+        ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_assets": 2,
+                        "beta": 0.9, "modes": ["basic-sampling"],
+                        "saa": dict(_TINY_SAA, max_iterations=0)}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
@@ -369,7 +374,7 @@ class TestCli:
             "stability-misspelt-key", "reduction-error-misspelt-key", "case-study-misspelt-key",
             "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv",
             "synthetic-misspelt-key", "cone-misspelt-key", "region-row-misspelt-key",
-            "distribution-misspelt-key"])
+            "distribution-misspelt-key", "case-study-no-modes", "case-study-no-iterations"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""
