@@ -8,9 +8,10 @@ cardinality-restricted supports runs the same method in every node. Discrete
 CVaR uses exact atom splitting at the beta-quantile.
 
 The cutting-plane master LP lives on [x, t] only: the region rows, the
-budget, the box, the P1 return floor and the cuts t >= g'x. Its cost is the
-objective with CVaR replaced by t, so the master bound (`lp_objective`) is a
-lower bound on the objective of the returned point. Both risk
+budget, the box, the P1 return floor and the cuts t >= h'x, and its cost is
+t alone. Each cut bounds the whole objective, h = weight * g + lin for a risk
+subgradient g and P3's return term lin, so the master bound (`lp_objective`)
+is a lower bound on the objective of the returned point. Both risk
 measures are convex and positively homogeneous in x (for discrete CVaR of
 -x'y see Kuenzi-Bay & Mayer, Comput. Manag. Sci. 3 (2006)), so each
 subgradient g gives a cut with no intercept that holds at every x, and a
@@ -234,10 +235,11 @@ def _elliptical_risk(dist: EllipticalDistribution, beta: float):
 class _CuttingPlane:
     """Kelley's cutting-plane method on the master LP over [x, t].
 
-    The master minimizes weight * t + lin'x, the objective with CVaR replaced
-    by t (lin is P3's return term, zero for P1), so its bound is a lower bound
-    on the objective. `risk` maps x to its CVaR and the call that
-    returns a subgradient there; the CVaR must be convex and positively
+    The master minimizes t subject to the cuts t >= h'x, h = weight * g + lin
+    for a risk subgradient g (lin is P3's return term, zero for P1), so t is
+    the objective with CVaR replaced by its cutting-plane model and the bound
+    is a lower bound on the objective. `risk` maps x to its CVaR and the call
+    that returns a subgradient there; the CVaR must be convex and positively
     homogeneous, so every cut has no intercept. Each master holds the cuts
     taken at its own points and at those of the masters it was copied from.
     """
@@ -249,15 +251,22 @@ class _CuttingPlane:
         self.lin = -(1.0 - problem.lam) * problem.mu if problem.mode == P3 else np.zeros(d)
         self.cap = _CUTS_PER_DIM * (d + 1)
 
+    def cut(self, g) -> np.ndarray:
+        """The master row of the cut t >= (weight * g + lin)'x, right-hand side 0."""
+        return _on_x(self.weight * g + self.lin, -1.0)
+
     def root(self, upper, A=None, b=None) -> _Node:
         """Certify the first master: box up to `upper`, extra rows A x <= b.
 
         It is the one master solved from scratch by lp.solve, with a single
-        cut taken at the equal-weight portfolio (which need not be feasible).
+        cut h0 taken at the equal-weight portfolio (which need not be
+        feasible). Every feasible x is nonnegative with 1'x = capital, so
+        t >= h0'x >= capital * min(h0) there, and that lower bound on t makes
+        the cost e_t dual feasible from the all-slack basis.
         """
         problem, region = self.problem, self.problem.region
         d = region.d
-        first = self.risk(np.full(d, region.capital / d))[1]()
+        first = self.cut(self.risk(np.full(d, region.capital / d))[1]())
         rows, rhs = [region.A], [region.b]
         if problem.mode == P1:
             rows.append([-problem.mu])
@@ -265,13 +274,11 @@ class _CuttingPlane:
         if A is not None:
             rows.append(A)
             rhs.append(b)
-        res = lp.solve(np.append(self.lin, self.weight),
-                       np.vstack([_on_x(np.vstack(rows)), _on_x(first, -1.0)]),
+        res = lp.solve(np.eye(d + 1)[d], np.vstack([_on_x(np.vstack(rows)), first]),
                        np.append(np.concatenate(rhs), 0.0),
                        _on_x(np.ones(d)), [region.capital],
-                       list(zip(region.lower, upper)) + [(None, None)])
-        if res.status == "unbounded":
-            raise SolverError("CVaR master LP is unbounded; the model is malformed")
+                       list(zip(region.lower, upper))
+                       + [(region.capital * first[0, :d].min(), None)])
         return self.certify(res)
 
     def branch(self, node: _Node, A, b) -> _Node:
@@ -297,7 +304,7 @@ class _CuttingPlane:
             if new == self.cap:
                 return _Node(_failed("iteration-limit"))
             new += 1
-            res = res.tableau.add_rows(_on_x(subgradient(), -1.0), [0.0])
+            res = res.tableau.add_rows(self.cut(subgradient()), [0.0])
         return _Node(_failed(res.status))
 
 

@@ -251,6 +251,8 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
     """
     with _reading("stability config", config) as cfg:
         nsets = int(cfg.get("sets", 50))
+        if nsets < 2:
+            raise ConfigError("stability needs at least two sets per trial for its sd columns")
         beta = float(cfg.get("beta", 0.95))
         target = int(cfg.get("n_risk_target", 100))
         match_effective = bool(cfg.get("match_effective", False))
@@ -351,6 +353,8 @@ def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> li
         ns = [int(v) for v in cfg.get("sizes", [100, 200, 500])]
         betas = [float(v) for v in cfg.get("betas", [0.95, 0.99])]
         nsets = int(cfg.get("sets", 30))
+        if nsets < 1:
+            raise ConfigError("reduction error needs at least one set per cell")
         quota = float(cfg.get("quota", 1.0))
         family = cfg.get("family", "normal")
         fam = _FAMILY_TAG[family]

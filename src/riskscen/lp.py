@@ -1,24 +1,25 @@
-"""Dense simplex solver with warm re-solves after appended rows.
+"""Dense dual-simplex solver with warm re-solves after appended rows.
 
 The LPs solved here stay small: cutting-plane master problems over the
 portfolio weights plus one epigraph variable, and feasibility probes of
-portfolio constraint systems. A dense tableau simplex with an explicit basis
-is enough and keeps the package dependency-free. Entering variable: most
-negative reduced cost, ratio ties broken by largest pivot element; after a
-sustained run of degenerate pivots (10x the row count) the solver falls back
-to Bland's rule, which cannot cycle.
+portfolio constraint systems. A dense tableau with an explicit basis is
+enough and keeps the package dependency-free.
 
-Every row is an inequality with its own slack (an equality is a pair of
-opposing rows), so the all-slack basis is a valid start however the right-
-hand sides are signed. Phase 1 is the dual simplex (Lemke, Naval Res.
-Logistics Q. 1 (1954)) under zero costs, where every basis is dual
-feasible; phase 2 is the primal simplex under the real costs. An optimal
-`solve` returns its final tableau. `Tableau.add_rows` appends inequality
-rows to it and re-optimizes the same way, by the dual simplex under the real
-costs: the old basis plus the new rows' slacks keeps every reduced cost
-nonnegative, so a few dual pivots restore primal feasibility. Either way an
-LP is infeasible exactly when a dual pivot finds a row below -FEAS_TOL with
-no negative entry.
+Every LP is taken with nonnegative costs and finite lower bounds. Each lower
+bound is shifted out, each finite upper bound becomes a row, and each row is
+an inequality with its own slack (an equality is a pair of opposing rows).
+The all-slack basis is then dual feasible however the right-hand sides are
+signed: its reduced costs are the costs. So one engine solves every LP, the
+dual simplex (Lemke, Naval Res. Logistics Q. 1 (1954)): `solve` runs it from
+the all-slack basis and returns the optimal tableau, and `Tableau.add_rows`
+appends inequality rows to it, whose basic slacks keep every reduced cost
+nonnegative, and runs it again. Leaving row: most negative rhs; entering
+column: smallest ratio of reduced cost to |row entry|, ties broken by the
+largest |pivot|; after a sustained run of degenerate pivots (10x the row
+count) both choices switch to Bland's lowest index, which cannot cycle.
+An LP is infeasible exactly when a pivot finds a row below -FEAS_TOL with no
+negative entry. An optimal pass is checked: the reduced costs are recomputed
+from the final tableau, and one below -OPT_TOL raises SolverError.
 """
 
 from __future__ import annotations
@@ -27,17 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
+
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
-# The dual simplex stops once every basic value is >= -DUAL_STOP_TOL. Far
-# tighter than FEAS_TOL: a primal pivot keeps values >= 0 up to rounding, and
-# a warm re-solve should leave points that satisfy their bounds as closely.
+# The dual simplex stops once every basic value is >= -DUAL_STOP_TOL: far
+# tighter than FEAS_TOL, so an optimal point satisfies its rows and bounds
+# up to rounding.
 DUAL_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | iteration-limit
     x: np.ndarray | None
     objective: float | None
     iterations: int
@@ -53,57 +56,19 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0
 
 
-def _run_simplex(T, basis, c, maxiter, bland_after):
-    """Pivot until optimal/unbounded. T is m x (n+1) with rhs last; T[:,basis]=I."""
-    m, n1 = T.shape
-    n = n1 - 1
-    degen_run = 0
-    bland = False
-    for it in range(maxiter):
-        r = c - c[basis] @ T[:, :n]
-        r[basis] = 0.0
-        if bland:
-            neg = np.flatnonzero(r < -OPT_TOL)
-            if neg.size == 0:
-                return "optimal", it
-            enter = int(neg[0])
-        else:
-            enter = int(np.argmin(r))
-            if r[enter] >= -OPT_TOL:
-                return "optimal", it
-        col = T[:, enter]
-        pos = col > FEAS_TOL
-        if not pos.any():
-            return "unbounded", it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[pos, n] / col[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + FEAS_TOL * (1.0 + abs(best)))
-        if bland:
-            leave = int(ties[np.argmin(basis[ties])])
-        else:
-            leave = int(ties[np.argmax(col[ties])])
-        if best <= FEAS_TOL:
-            degen_run += 1
-            if degen_run > bland_after:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    return "iteration-limit", maxiter
+def _reduced_costs(T, basis, c) -> np.ndarray:
+    r = c - c[basis] @ T[:, :-1]
+    r[basis] = 0.0
+    return r
 
 
 def _run_dual_simplex(T, basis, c, maxiter, bland_after):
     """Dual-simplex pivots on a dual-feasible tableau until the rhs is >= 0.
 
-    Leaving row: most negative rhs; entering column: smallest ratio of
-    reduced cost to |row entry|, ties broken by the largest |pivot|. A run of
-    degenerate pivots switches both choices to Bland's lowest index. Stops
-    when every basic value is >= -DUAL_STOP_TOL; a row below -FEAS_TOL with
-    no negative entry proves the LP infeasible, one above it is rounding and
-    is left until the next pivot.
+    T is m x (n+1) with rhs last and T[:, basis] = I. Stops when every basic
+    value is >= -DUAL_STOP_TOL; a row below -FEAS_TOL with no negative entry
+    proves the LP infeasible, one above it is rounding and is left until the
+    next pivot.
     """
     m, n1 = T.shape
     n = n1 - 1
@@ -123,7 +88,7 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
                 return "infeasible", it
             stuck[leave] = True
             continue
-        r = c - c[basis] @ T[:, :n]
+        r = _reduced_costs(T, basis, c)
         ratios = np.full(n, np.inf)
         ratios[cand] = np.maximum(r[cand], 0.0) / -row[cand]
         best = ratios.min()
@@ -145,26 +110,19 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
 class Tableau:
     """The tableau of an LP in standard form, kept to re-optimize after new rows.
 
-    T is [structural columns | slacks | rhs] with T[:, basis] = I; the
-    original variables are x = offset + S @ y over the structural columns y.
-    `add_rows` changes the tableau in place; `copy` branches it.
+    T is [shifted variables | slacks | rhs] with T[:, basis] = I; the original
+    variables are x = offset + y over the first columns y. `add_rows` changes
+    the tableau in place; `copy` branches it.
     """
 
-    def __init__(self, T, basis, c, S, offset):
+    def __init__(self, T, basis, c, offset):
         self.T = T
         self.basis = basis
-        self.c = c  # objective on the original variables
-        self.S = S
+        self.c = c  # the nonnegative costs of x
         self.offset = offset
 
     def copy(self) -> Tableau:
-        return Tableau(self.T.copy(), self.basis.copy(), self.c, self.S, self.offset)
-
-    def result(self, iterations: int) -> LpResult:
-        y = np.zeros(self.T.shape[1] - 1)
-        y[self.basis] = self.T[:, -1]
-        x = self.offset + self.S @ y[: self.S.shape[1]]
-        return LpResult("optimal", x, float(self.c @ x), iterations, self)
+        return Tableau(self.T.copy(), self.basis.copy(), self.c, self.offset)
 
     def add_rows(self, A, b) -> LpResult:
         """Append the rows A x <= b (original variables) and re-optimize.
@@ -182,46 +140,42 @@ class Tableau:
         T[:m, :n] = self.T[:, :n]
         T[:m, -1] = self.T[:, -1]
         new = T[m:]
-        new[:, : self.S.shape[1]] = A @ self.S
+        new[:, : self.c.size] = A
         new[:, n : n + k] = np.eye(k)
         new[:, -1] = b - A @ self.offset
         new -= new[:, self.basis] @ T[:m]
         self.T, self.basis = T, np.concatenate([self.basis, np.arange(n, n + k)])
-        return self._optimize(phase1=False)
+        return self._optimize()
 
-    def _optimize(self, phase1: bool) -> LpResult:
-        """Dual simplex to a primal feasible basis, then primal simplex to optimal.
-
-        The dual pass needs every reduced cost nonnegative in the starting
-        basis: a cold start (`phase1`) runs it under zero costs, a re-solve
-        after appended rows under the real costs. The primal pass then
-        optimizes the real costs; after a re-solve it only cleans up reduced
-        costs that ratio ties within tolerance left slightly negative.
-        """
+    def _optimize(self) -> LpResult:
+        """One dual-simplex pass from the current dual-feasible basis, then its check."""
         m, n = self.T.shape[0], self.T.shape[1] - 1
         cost = np.zeros(n)
-        cost[: self.S.shape[1]] = self.c @ self.S
-        maxiter = 10000 + 25 * (m + n)
-        bland_after = 10 * max(m, 1)
-        dual_cost = np.zeros(n) if phase1 else cost
-        status, it1 = _run_dual_simplex(self.T, self.basis, dual_cost, maxiter, bland_after)
-        it2 = 0
-        if status == "optimal":
-            status, it2 = _run_simplex(self.T, self.basis, cost, maxiter, bland_after)
+        cost[: self.c.size] = self.c
+        status, it = _run_dual_simplex(self.T, self.basis, cost, 10000 + 25 * (m + n),
+                                       10 * max(m, 1))
         if status != "optimal":
-            return LpResult(status, None, None, it1 + it2)
-        return self.result(it1 + it2)
+            return LpResult(status, None, None, it)
+        worst = _reduced_costs(self.T, self.basis, cost).min(initial=0.0)
+        if worst < -OPT_TOL:
+            raise SolverError(f"dual simplex ended with reduced cost {worst:.3g}")
+        y = np.zeros(n)
+        y[self.basis] = self.T[:, -1]
+        x = self.offset + y[: self.c.size]
+        return LpResult("optimal", x, float(self.c @ x), it, self)
 
 
 def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResult:
     """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and box bounds.
 
-    `bounds` is a per-variable list of (lo, hi); None means unbounded on that
-    side; default (0, inf). Free variables are split, finite lower bounds are
-    shifted out, finite upper bounds become rows.
+    The costs must be nonnegative. `bounds` is a per-variable list of
+    (lo, hi), default (0, inf); lo must be finite, hi None means no upper
+    bound. Raises ValueError otherwise.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
+    if np.any(c < 0):
+        raise ValueError("costs must be nonnegative")
     A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
     A_eq = np.zeros((0, nvar)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
@@ -230,26 +184,17 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResul
         bounds = [(0.0, None)] * nvar
     if len(bounds) != nvar:
         raise ValueError("bounds length must match the number of variables")
-
-    # Rewrite every variable as a nonnegative one: shift finite lower bounds,
-    # mirror (-inf, hi] variables, split free ones. x = offset + S @ y over
-    # the shifted columns y >= 0.
-    lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in bounds])
+    lo = np.array([np.nan if b[0] is None else float(b[0]) for b in bounds])
     hi = np.array([np.inf if b[1] is None else float(b[1]) for b in bounds])
-    free = ~np.isfinite(lo) & ~np.isfinite(hi)
-    boxed = np.isfinite(lo) & np.isfinite(hi)
-    col = np.arange(nvar) + np.cumsum(free) - free  # the column of y each x_j starts at
-    S = np.zeros((nvar, nvar + int(free.sum())))
-    S[np.arange(nvar), col] = np.where(np.isfinite(lo) | free, 1.0, -1.0)
-    S[free, col[free] + 1] = -1.0
-    offset = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    if not np.all(np.isfinite(lo)):
+        raise ValueError("lower bounds must be finite")
 
-    # Rows A y <= rhs: the inequalities, the finite upper bounds (the rows of
-    # S of the boxed variables) and each equality as an opposing pair.
-    Aeq_y, beq_y = A_eq @ S, b_eq - A_eq @ offset
-    A = np.vstack([A_ub @ S, S[boxed], Aeq_y, -Aeq_y])
-    rhs = np.concatenate([b_ub - A_ub @ offset, (hi - lo)[boxed], beq_y, -beq_y])
-    m, ncols = A.shape
+    # Rows over the shifted variables y = x - lo >= 0: the inequalities, the
+    # finite upper bounds and each equality as an opposing pair.
+    boxed = np.isfinite(hi)
+    beq_y = b_eq - A_eq @ lo
+    A = np.vstack([A_ub, np.eye(nvar)[boxed], A_eq, -A_eq])
+    rhs = np.concatenate([b_ub - A_ub @ lo, (hi - lo)[boxed], beq_y, -beq_y])
+    m = A.shape[0]
     T = np.hstack([A, np.eye(m), rhs[:, None]])
-    return Tableau(T, np.arange(ncols, ncols + m), c, S, offset)._optimize(phase1=True)
-
+    return Tableau(T, np.arange(nvar, nvar + m), c, lo)._optimize()

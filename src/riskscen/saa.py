@@ -54,6 +54,8 @@ class SaaConfig:
     def __post_init__(self):
         if self.n0 < 1 or self.dn < 0:
             raise ConfigError("sample sizes must be positive")
+        if self.validation_n < 1 or self.prob_estimate_n < 1:
+            raise ConfigError("validation and probability-estimate sample sizes must be positive")
         if self.replications < 2:
             raise ConfigError("need at least two replications")
         if self.max_iterations < 1:

@@ -289,7 +289,7 @@ def d10_market():
 
 class TestSolveLpOracle:
     @pytest.mark.parametrize("weights", ["equal", "aggregated"])
-    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5), (P3, 0.0)])
     def test_matches_highs_ru_lp_at_d10_quota(self, d10_market, weights, mode, lam):
         dist, region, sets = d10_market
         scen = sets[weights]
@@ -342,7 +342,7 @@ class TestSolveExact:
         lp_sol = solve_lp(problem, scen)
         assert lp_sol.cvar == pytest.approx(exact.cvar, rel=0.1)
 
-    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5)])
+    @pytest.mark.parametrize("mode,lam", [(P1, 1.0), (P3, 0.5), (P3, 0.0)])
     def test_matches_slsqp_oracle_at_d10_quota(self, mode, lam):
         self._check_against_slsqp(10, 7, mode, lam)
 

@@ -362,6 +362,10 @@ class TestCli:
         ("case-study", {"source": {"synthetic_skewed": {"d": 3, "n": 100}}, "max_assets": 2,
                         "beta": 0.9, "modes": ["basic-sampling"],
                         "saa": dict(_TINY_SAA, max_iterations=0)}),
+        ("stability", {"dimensions": [2], "sets": 1, "n_risk_target": 20,
+                       "source": {"synthetic": {"months": 100}}}),
+        ("reduction-error", {"dimensions": [2], "sizes": [20], "betas": [0.95], "sets": 0,
+                             "source": {"synthetic": {"months": 100}}}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
@@ -374,7 +378,8 @@ class TestCli:
             "stability-misspelt-key", "reduction-error-misspelt-key", "case-study-misspelt-key",
             "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv",
             "synthetic-misspelt-key", "cone-misspelt-key", "region-row-misspelt-key",
-            "distribution-misspelt-key", "case-study-no-modes", "case-study-no-iterations"])
+            "distribution-misspelt-key", "case-study-no-modes", "case-study-no-iterations",
+            "stability-one-set", "reduction-error-no-sets"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""

@@ -222,3 +222,7 @@ class TestRunSaa:
             SaaConfig(mode="bogus")
         with pytest.raises(ConfigError):
             SaaConfig(alpha_gap=0.4)
+        with pytest.raises(ConfigError):
+            SaaConfig(validation_n=0)
+        with pytest.raises(ConfigError):
+            SaaConfig(prob_estimate_n=0)
