@@ -3,8 +3,8 @@
     riskscen <experiment> --config cfg.json --seed 123 --jobs 4 --out results/
 
 Experiments: prob-table, stability, reduction-error, case-study, project,
-classify. Exit codes: 0 success, 2 config error, 3 solver error. The config
-JSON schema is documented in the README.
+classify. Exit codes: 0 success, 2 config error or bad argument, 3 solver
+error. The config JSON schema is documented in the README.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"argument --seed: expected an integer in [0, 2**64), got {args.seed}")
     try:
         cfg_path = Path(args.config)
         try:

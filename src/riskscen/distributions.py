@@ -87,28 +87,35 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             return h
     raise ConfigError("incomplete beta continued fraction failed to converge")
+
+
+# Stirling's series lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi) / 2) = sum_k c_k x^-(2k+1);
+# from x = 10 the first term left out is below 3e-17.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_inv_beta(a: float, b: float) -> float:
+    """ln(1 / B(a, b)); from q = max(a, b) = 10 on, the large lgamma(p + q) - lgamma(q)
+    comes from Stirling's series, whose (x - 1/2) ln x - x parts cancel in closed form."""
+    if max(a, b) < 10.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    p, q = min(a, b), max(a, b)
+    tail = sum(c * ((p + q) ** -k - q ** -k) for k, c in zip(range(1, 14, 2), _STIRLING))
+    return (q - 0.5) * math.log1p(p / q) + p * math.log(p + q) - p + tail - math.lgamma(p)
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:
@@ -117,8 +124,7 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log(1.0 - x))
+    ln_front = _log_inv_beta(a, b) + a * math.log(x) + b * math.log(1.0 - x)
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a

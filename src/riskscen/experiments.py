@@ -38,7 +38,7 @@ from .scenario_gen import aggregation_reduction, aggregation_sampling
 from .seeding import GENERATOR_NAME, child_seed, rng_from
 from .synthetic import skewed_scenarios, synthetic_returns
 
-_T_SUBSET, _T_PROB, _T_STAB, _T_RED, _T_CASE, _T_VAL = 11, 12, 13, 14, 15, 16
+_T_SUBSET, _T_PROB, _T_STAB, _T_RED, _T_CASE = 11, 12, 13, 14, 15
 
 _FAMILY_TAG = {"normal": "normal", "student-t": "tdist"}
 
@@ -246,8 +246,7 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
     Aggregation targets `n_risk_target` risk scenarios; basic sampling is
     matched to the realized scenario count (or to the effective sample size
     when `match_effective` is set). The true optimum comes from the exact
-    elliptical solver, or from a large reference sample for empirical
-    sources.
+    elliptical solver, or for an empirical source from the LP over its atoms.
     """
     with _reading("stability config", config) as cfg:
         nsets = int(cfg.get("sets", 50))
@@ -260,7 +259,6 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
         override = cfg.get("threshold_override")
         threshold = None if override is None else float(override)
         nu = float(cfg.get("nu", 4.0))
-        reference_n = int(cfg.get("reference_n", 200_000))
         src = cfg.get("source", {"synthetic": {}})
         empirical = "scenario_csv" in src
         if empirical:
@@ -279,7 +277,7 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
         source = load_universe()
     prov = provenance(config, seed)
     cell = partial(_stability_cell, source, family, nu, seed, beta, target, nsets,
-                   match_effective, quota, threshold, reference_n)
+                   match_effective, quota, threshold)
     results = _grid(cell, jobs, dims, range(trials))
 
     paths = []
@@ -301,33 +299,27 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
 
 
 def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effective, quota,
-                    threshold, reference_n, d, trial):
+                    threshold, d, trial):
     """Both methods' true gaps; `source` is the return universe or an empirical ScenarioSet."""
-    empirical = isinstance(source, ScenarioSet)
-    if empirical:
-        # empirical source: resample the file, grade against a large reference set
+    region = _quota_region(d, quota)
+    if isinstance(source, ScenarioSet):
+        # an empirical source is its weighted atoms: resample them, grade exactly over them
         sampler = EmpiricalDistribution(source)
         region_dist = fit_from_returns(source.points, family, nu=nu, weights=source.probs)
-        mu = sampler.mean
-    else:
-        sampler = region_dist = _trial_distribution(source, family, nu, seed, d, trial)
-        mu = region_dist.mu
-    region = _quota_region(d, quota)
-    problem = PortfolioProblem(region, beta, mu=mu, mode=P1)
-    rr = RiskRegion(region_dist, conic_hull(region), beta, threshold=threshold)
-
-    if empirical:
-        reference = sample(sampler, reference_n, child_seed(seed, _T_STAB, trial, d, 10**6))
-        truth = solve_lp(problem, reference)
+        problem = PortfolioProblem(region, beta, mu=sampler.mean, mode=P1)
+        truth = solve_lp(problem, source)
 
         def true_gap(x):
-            return discrete_cvar(reference, x, beta) - truth.cvar
+            return discrete_cvar(source, x, beta) - truth.cvar
     else:
+        sampler = region_dist = _trial_distribution(source, family, nu, seed, d, trial)
+        problem = PortfolioProblem(region, beta, mu=region_dist.mu, mode=P1)
         truth = solve_exact_elliptical(problem, region_dist)
 
         def true_gap(x):
             _, cvar, _ = portfolio_loss_stats(region_dist, x, beta)
             return cvar - truth.cvar
+    rr = RiskRegion(region_dist, conic_hull(region), beta, threshold=threshold)
 
     basic_gaps, agg_gaps = [], []
     for i in range(nsets):
@@ -410,8 +402,8 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     """Cardinality case study across the three SAA modes.
 
     Emits per-mode iteration histories (JSONL), the best-gap and non-risk
-    probability series, final out-of-sample box-plot data on a shared
-    validation sample, and a summary table.
+    probability series, final out-of-sample CVaRs exact over the scenario
+    set's atoms as box-plot data, and a summary table.
     """
     with _reading("case-study config", config) as cfg:
         src = cfg.get("source", {})
@@ -451,7 +443,6 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     for mode, (_, history) in results.items():
         write_history(history, out / f"case-history-{mode}.jsonl", meta=prov)
 
-    validation = sample(source, saa_configs[0].validation_n, child_seed(seed, _T_VAL))
     iters = max(len(h) for _, h in results.values())
     gap_rows = []
     prob_rows = []
@@ -473,7 +464,7 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     for mode in modes:
         best, history = results[mode]
         final = history[-1]
-        oos = [discrete_cvar(validation, x, beta) for x in final.solutions]
+        oos = [discrete_cvar(scen, x, beta) for x in final.solutions]
         box_rows.extend([[mode, m + 1, v] for m, v in enumerate(oos)])
         summary_rows.append([mode, float(np.median(oos)), float(np.min(oos)),
                              best.cvar, len(history), final.n])

@@ -193,14 +193,11 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
     if aggregating and surrogate is None:
         surrogate = _surrogate_for(source)
 
+    # the problem on the current box and its risk region, rebuilt only when a ghost box lands
+    problem_t = problem
+    rr = RiskRegion(surrogate, conic_hull(region0), problem.beta) if aggregating else None
     for it in range(config.max_iterations):
         t0 = time.perf_counter()
-        region_t = region0.with_bounds(lower, upper)
-        problem_t = replace(problem, region=region_t)
-        rr = None
-        if aggregating:
-            rr = RiskRegion(surrogate, conic_hull(region_t), problem.beta)
-
         nu, xs, zs, seeds, sets = [], [], [], [], []
         for m in range(config.replications):
             s_m = child_seed(seed, _T_SAMPLE, it, m)
@@ -235,6 +232,8 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
         if config.mode == AGGREGATION_GHOST and it + 1 < config.max_iterations:
             lower, upper = update_ghost_bounds(xs, config.alpha_ghost, region0,
                                                lower, upper, problem.cardinality)
+            problem_t = replace(problem, region=region0.with_bounds(lower, upper))
+            rr = RiskRegion(surrogate, conic_hull(problem_t.region), problem.beta)
 
     return _screen_candidates(problem, source, config, seed, history), history
 

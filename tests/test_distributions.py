@@ -9,10 +9,10 @@ import pytest
 from oracles import cvar_oracle, quantile_oracle
 from riskscen import saa, synthetic
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
-                                    ScenarioSet, fit_from_returns, load_scenarios, normal_cdf,
-                                    normal_pdf, normal_quantile, portfolio_loss_stats, read_csv,
-                                    sample, save_scenarios, spherical_cvar, spherical_quantile,
-                                    t_cdf, t_pdf, t_quantile)
+                                    ScenarioSet, betainc_reg, fit_from_returns,
+                                    load_scenarios, normal_cdf, normal_pdf, normal_quantile,
+                                    portfolio_loss_stats, read_csv, sample, save_scenarios,
+                                    spherical_cvar, spherical_quantile, t_cdf, t_pdf, t_quantile)
 from riskscen.errors import ConfigError
 
 # Frozen from the quadrature/bisection oracles in oracles.py.
@@ -74,6 +74,15 @@ class TestSphericalTails:
         # at 0 gives the quantile there to O(x^3)
         for p in (0.5 - 1e-9, 0.5 + 1e-9):
             assert quantile(p) == pytest.approx((p - 0.5) / density_at_0, rel=1e-6)
+
+    @pytest.mark.parametrize("a, b, x", [(50.0, 0.5, 0.97), (500.0, 0.5, 0.999),
+                                         (0.5, 500.0, 0.001), (500.0, 2.0, 0.995)])
+    def test_betainc_matches_scipy_at_large_a(self, a, b, x):
+        """From max(a, b) = 10 the prefactor's log-beta comes from Stirling's
+        series; lgamma(a + b) - lgamma(a) - lgamma(b) lost 2.0e-14 and 1.6e-13
+        relative at the first two points."""
+        from scipy import special
+        assert betainc_reg(a, b, x) == pytest.approx(special.betainc(a, b, x), rel=1e-14, abs=0)
 
     def test_cvar_near_zero_beta_is_mean(self):
         assert spherical_cvar("normal", 1e-6) == pytest.approx(0.0, abs=1e-4)

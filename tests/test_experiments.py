@@ -3,14 +3,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import riskscen
-from riskscen import cli
+from oracles import ru_lp_oracle
+from riskscen import cli, experiments
 from riskscen.cones import ConeProjector, FeasibleRegion, conic_hull
+from riskscen.cvar_opt import discrete_cvar, solve_lp
 from riskscen.distributions import EllipticalDistribution, load_scenarios
 from riskscen.errors import ConfigError
 from riskscen.experiments import (run_case_study, run_classify, run_prob_table,
@@ -47,6 +50,15 @@ def test_public_api_is_pinned():
     assert sorted(riskscen.__all__) == PUBLIC_API
     missing = [name for name in PUBLIC_API if not hasattr(riskscen, name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's "Library quick start" block runs as printed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 class TestSynthetic:
@@ -147,23 +159,41 @@ class TestStability:
         vals = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.all(vals >= -1e-9)  # gaps are true-objective suboptimalities
 
-    def test_empirical_source_uses_large_sample_reference(self, tmp_path):
+    def test_empirical_gaps_are_exact_over_the_atoms(self, tmp_path, monkeypatch):
+        """Each gap is the set solution's CVaR over the file's atoms minus the
+        atom LP's optimum, here from HiGHS."""
         scen_path = tmp_path / "scen.csv"
-        write_skewed_scenarios(scen_path, 4, 600, 5)
-        config = {"source": {"scenario_csv": str(scen_path)}, "sets": 6,
-                  "n_risk_target": 50, "beta": 0.95, "reference_n": 8000,
-                  "family": "student-t", "nu": 4.0}
+        write_skewed_scenarios(scen_path, 4, 300, 5)
+        atoms = load_scenarios(scen_path)
+        solved = []
+
+        def recording(problem, scenarios):
+            sol = solve_lp(problem, scenarios)
+            solved.append((problem, scenarios, sol))
+            return sol
+
+        monkeypatch.setattr(experiments, "solve_lp", recording)
+        config = {"source": {"scenario_csv": str(scen_path)}, "sets": 3,
+                  "n_risk_target": 30, "beta": 0.95, "family": "student-t", "nu": 4.0}
         paths = run_stability(config, 37, tmp_path)
         summary = [p for p in paths if "gaps" not in p.name][0]
         assert "empirical" in summary.name
-        _, _, rows = read_table(summary)
-        vals = [float(v) for v in rows[0][1:]]
         gaps_path = [p for p in paths if "gaps" in p.name][0]
-        vals += [float(r[3]) for r in read_table(gaps_path)[2]]
-        # The reference optimum is certified to 1e-9 (1 + |cvar|); a
-        # portfolio's CVaR never exceeds the largest absolute return.
-        scale = float(np.abs(load_scenarios(scen_path).points).max())
-        assert all(v >= -1e-9 * (1.0 + scale) for v in vals)
+        gaps = {(r[2], int(r[1])): float(r[3]) for r in read_table(gaps_path)[2]}
+
+        problem = solved[0][0]
+        assert solved[0][1].n == atoms.n  # the first solve is the file's own problem
+        optimum = ru_lp_oracle(atoms.points, atoms.probs, 0.95, problem.region.lower,
+                               problem.region.upper, problem.mu, tau=problem.tau)
+        # each set solves aggregation, then basic sampling
+        set_solutions = [sol.x for _, _, sol in solved[1:]]
+        assert len(set_solutions) == 2 * config["sets"] == len(gaps)
+        for i in range(config["sets"]):
+            for method, x in (("aggregation", set_solutions[2 * i]),
+                              ("sampling", set_solutions[2 * i + 1])):
+                cvar = discrete_cvar(atoms, x, 0.95)
+                assert gaps[(method, i + 1)] == pytest.approx(
+                    cvar - optimum, abs=1e-9 * (1.0 + abs(cvar)))
 
 
 class TestReductionError:
@@ -206,6 +236,30 @@ class TestCaseStudy:
         for rec in hist[1:]:
             for z in rec["supports"]:
                 assert sum(z) <= 2
+
+    def test_out_of_sample_values_are_exact_over_the_atoms(self, tmp_path):
+        scen_path = tmp_path / "scen.csv"
+        write_skewed_scenarios(scen_path, 5, 400, 3)
+        atoms = load_scenarios(scen_path)
+        config = {"source": {"scenario_csv": str(scen_path)},
+                  "max_assets": 2, "beta": 0.95,
+                  "modes": ["basic-sampling", "aggregation+ghost"],
+                  "saa": {"n0": 30, "dn": 10, "replications": 2, "validation_n": 500,
+                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2,
+                          "prob_estimate_n": 300}}
+        run_case_study(config, 31, tmp_path)
+        _, _, box_rows = read_table(tmp_path / "case-boxplot.csv")
+        _, _, summary_rows = read_table(tmp_path / "case-summary.csv")
+        summary = {r[0]: r for r in summary_rows}
+        for mode in config["modes"]:
+            lines = (tmp_path / f"case-history-{mode}.jsonl").read_text().splitlines()
+            final = json.loads(lines[-1])["solutions"]
+            exact = [discrete_cvar(atoms, np.array(x), 0.95) for x in final]
+            values = [float(r[2]) for r in box_rows if r[0] == mode]
+            assert [int(r[1]) for r in box_rows if r[0] == mode] == list(range(1, len(final) + 1))
+            assert values == exact
+            assert float(summary[mode][1]) == float(np.median(exact))
+            assert float(summary[mode][2]) == min(exact)
 
     def test_rejects_oversized_problem(self, tmp_path):
         config = {"source": {"synthetic_skewed": {"d": 20, "n": 100}}, "max_assets": 2}
@@ -275,16 +329,45 @@ class TestCli:
 
     def test_unknown_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        for config, name in [
-            ({"dimensions": [2], "trials": 1, "betas": [0.9], "n_point": 5}, "'n_point'"),
-            ({"dimensions": [2], "source": {"synthetic": {"month": 5}}},
+        scenarios = write_skewed_scenarios(tmp_path / "scenarios.csv", 2, 50, 1)
+        for command, config, name in [
+            ("prob-table", {"dimensions": [2], "trials": 1, "betas": [0.9], "n_point": 5},
+             "'n_point'"),
+            ("prob-table", {"dimensions": [2], "source": {"synthetic": {"month": 5}}},
              "'source.synthetic.month'"),
+            # the empirical stability grader no longer draws a reference sample
+            ("stability", {"source": {"scenario_csv": str(scenarios)}, "sets": 2,
+                           "n_risk_target": 10, "reference_n": 8000}, "'reference_n'"),
         ]:
             cfg.write_text(json.dumps(config))
-            assert cli.main(["prob-table", "--config", str(cfg), "--seed", "1",
+            assert cli.main([command, "--config", str(cfg), "--seed", "1",
                              "--out", str(tmp_path / "out")]) == 2
             assert f"unknown key {name}" in capsys.readouterr().err
             assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    @pytest.mark.parametrize("source", ["returns_csv", "synthetic"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, source, seed):
+        returns = write_synthetic_returns(tmp_path / "ret.csv", 3, 60, 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dimensions": [2], "sets": 2, "n_risk_target": 10,
+            "source": {"returns_csv": str(returns)} if source == "returns_csv"
+            else {"synthetic": {"months": 60}}}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stability", "--config", str(cfg), "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "normal", "dimensions": [2], "betas": [0.95], "quotas": [1.0],
+            "trials": 1, "n_points": 50, "source": {"synthetic": {"months": 60}}}))
+        assert cli.main(["prob-table", "--config", str(cfg), "--seed", str(2**64 - 1),
+                         "--out", str(tmp_path)]) == 0
 
     def test_missing_config_exits_2(self, tmp_path):
         res = self._run("classify", "--config", str(tmp_path / "nope.json"), "--seed", "1")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import in_region
+from riskscen import saa
 from riskscen.cones import ConeProjector, FeasibleRegion, cone_member, conic_hull
 from riskscen.cvar_opt import PortfolioProblem
 from riskscen.distributions import EllipticalDistribution, normal_quantile
@@ -179,6 +180,23 @@ class TestRunSaa:
             for _ in range(50):
                 v = projector.project(rng.normal(size=problem.d))
                 assert cone_member(cone_t, v, tol=1e-7)
+
+    @pytest.mark.parametrize("mode, regions", [("aggregation", 1), ("aggregation+ghost", 3)])
+    def test_region_built_once_per_box(self, monkeypatch, mode, regions):
+        """The risk region, and its archive, last until the ghost box changes."""
+        built = []
+        init = saa.RiskRegion.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(saa.RiskRegion, "__init__", recording)
+        problem, dist = toy_problem()
+        cfg = SaaConfig(n0=30, dn=10, replications=2, validation_n=500, gap_tol=0.0,
+                        var_tol=0.0, max_iterations=3, mode=mode, prob_estimate_n=200)
+        _, history = run_saa(problem, dist, cfg, 31)
+        assert len(history) == 3 and len(built) == regions
 
     def test_all_candidates_feasible_for_original_region(self):
         problem, dist = toy_problem()
