@@ -283,7 +283,12 @@ class ScenarioSet:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Resampling (with replacement) view of a scenario set."""
+    """Resampling (with replacement) view of a scenario set.
+
+    A draw copies one of the set's atoms, chosen by its probability;
+    draw_indices gives the atoms and draw their points from the same stream,
+    so a risk region can classify each atom once and look up every draw.
+    """
 
     scenarios: ScenarioSet
 
@@ -295,9 +300,11 @@ class EmpiricalDistribution:
     def mean(self) -> np.ndarray:
         return self.scenarios.mean()
 
+    def draw_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.choice(self.scenarios.n, size=n, p=self.scenarios.probs)
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.choice(self.scenarios.n, size=n, p=self.scenarios.probs)
-        return self.scenarios.points[idx]
+        return self.scenarios.points[self.draw_indices(rng, n)]
 
 
 def sample(dist, n: int, rng_seed: int) -> ScenarioSet:

@@ -427,8 +427,6 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
         surrogate_nu = float(cfg.get("surrogate_nu", 4.0))
     scen = load_scenario_set()
     d = scen.d
-    if d > 15 or l > 5:
-        raise ConfigError("case study is desk-scale: d <= 15 and max_assets <= 5")
     source = EmpiricalDistribution(scen)
     surrogate = fit_from_returns(scen.points, surrogate_family, nu=surrogate_nu,
                                  weights=scen.probs)

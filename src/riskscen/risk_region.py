@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import Cone, ConeProjector, transform
-from .distributions import EllipticalDistribution, ScenarioSet, spherical_quantile
+from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
+                            spherical_quantile)
 from .errors import ConfigError
 from .seeding import rng_from
 
@@ -39,8 +40,9 @@ class RiskRegion:
     `image_cone`, computed from the other fields, is the image P K of the
     cone under the distribution's factor P. Each region also keeps the
     archive of rays (and, for cones inside the orthant, non-risk points)
-    that classify_mask fills and reuses across calls; it is a cache and
-    never changes a verdict.
+    that classify_mask fills and reuses across calls, and the verdict of
+    each atom of the last scenario set classify_draws resampled. Both are
+    caches and never change a verdict.
     """
 
     dist: EllipticalDistribution
@@ -60,6 +62,7 @@ class RiskRegion:
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
         object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
         object.__setattr__(self, "_archive", _RayArchive(self.image_cone))
+        object.__setattr__(self, "_atoms", [None, None])  # scenario set, int8 verdict per atom
 
     @property
     def d(self) -> int:
@@ -246,6 +249,28 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
     return risk
 
 
+def classify_draws(region: RiskRegion, sampler, rng: np.random.Generator, n: int):
+    """n draws from sampler and their risk mask, as classify_mask gives it.
+
+    A draw from an EmpiricalDistribution copies an atom and takes that atom's
+    verdict. The region keeps one verdict per atom (-1 until decided) for
+    the last scenario set it saw, and classifies only the atoms this call
+    draws for the first time, in ascending atom order.
+    """
+    if not isinstance(sampler, EmpiricalDistribution):
+        pts = sampler.draw(rng, n)
+        return pts, classify_mask(region, pts)
+    scen = sampler.scenarios
+    if region._atoms[0] is not scen:
+        region._atoms[:] = [scen, np.full(scen.n, -1, dtype=np.int8)]
+    verdict = region._atoms[1]
+    idx = sampler.draw_indices(rng, n)
+    new = np.unique(idx[verdict[idx] < 0])
+    if new.size:
+        verdict[new] = classify_mask(region, scen.points[new])
+    return scen.points[idx], verdict[idx] == 1
+
+
 def classify_batch(region: RiskRegion, scenarios: ScenarioSet):
     """Partition scenario indices into (risk, non-risk)."""
     mask = classify_mask(region, scenarios.points)
@@ -282,7 +307,6 @@ def estimate_nonrisk_prob(region: RiskRegion, n: int, seed: int, sampler=None) -
     if n < 1:
         raise ConfigError("need at least one sample")
     src = region.dist if sampler is None else sampler
-    pts = src.draw(rng_from(seed), n)
-    mask = classify_mask(region, pts)
+    _, mask = classify_draws(region, src, rng_from(seed), n)
     return float((~mask).sum() / n)
 

@@ -5,7 +5,9 @@ number of risk scenarios has been seen, folding every non-risk draw into a
 running mean that becomes one final scenario. Raw draws are never stored;
 points are pulled from the RNG in fixed-size chunks so a second pass with
 the same seed can rebuild the exact raw stream (see raw_stream), which the
-consistency checks rely on.
+consistency checks rely on. Draws from an empirical source take their
+atom's verdict from the region (see classify_draws), so each atom of a
+scenario file is classified at most once per region.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .distributions import ScenarioSet
 from .errors import ConfigError
-from .risk_region import RiskRegion, aggregate, classify_mask
+from .risk_region import RiskRegion, aggregate, classify_draws, classify_mask
 from .seeding import rng_from
 
 CHUNK = 512
@@ -74,8 +76,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
     n_nonrisk = 0
     center = np.zeros(d)
     while n_risk < n_risk_target:  # every chunk is whole; only the last is cut short
-        pts = sampler.draw(rng, CHUNK)
-        mask = classify_mask(region, pts)
+        pts, mask = classify_draws(region, sampler, rng, CHUNK)
         need = n_risk_target - n_risk
         cum = np.cumsum(mask)
         if cum[-1] >= need:

@@ -324,3 +324,13 @@ class TestEmpirical:
         pts = emp.draw(np.random.default_rng(0), 5000)
         assert set(np.unique(pts)) <= {1.0, 2.0}
         assert (pts == 2.0).mean() == pytest.approx(0.7, abs=0.03)
+
+    def test_draw_is_the_points_of_the_drawn_indices(self):
+        rng = np.random.default_rng(4)
+        scen = ScenarioSet(rng.normal(size=(300, 3)), rng.dirichlet(np.ones(300)))
+        emp = EmpiricalDistribution(scen)
+        by_points, by_index = np.random.default_rng(8), np.random.default_rng(8)
+        pts = emp.draw(by_points, 700)
+        idx = emp.draw_indices(by_index, 700)
+        assert np.array_equal(pts, scen.points[idx])
+        assert by_points.random() == by_index.random()  # same stream position after

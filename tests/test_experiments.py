@@ -261,10 +261,22 @@ class TestCaseStudy:
             assert float(summary[mode][1]) == float(np.median(exact))
             assert float(summary[mode][2]) == min(exact)
 
-    def test_rejects_oversized_problem(self, tmp_path):
-        config = {"source": {"synthetic_skewed": {"d": 20, "n": 100}}, "max_assets": 2}
-        with pytest.raises(ConfigError):
-            run_case_study(config, 1, tmp_path)
+    @pytest.mark.slow
+    def test_order_of_medians_at_d30(self, tmp_path):
+        # criterion 09's settings at d = 30 and max_assets 8, with its 0.5% tie band
+        config = {"source": {"synthetic_skewed": {"d": 30, "n": 3000}},
+                  "max_assets": 8, "beta": 0.99,
+                  "modes": ["basic-sampling", "aggregation", "aggregation+ghost"],
+                  "saa": {"n0": 200, "dn": 100, "replications": 10, "validation_n": 100_000,
+                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 4,
+                          "prob_estimate_n": 2000}}
+        run_case_study(config, 90_900, tmp_path)
+        _, _, box_rows = read_table(tmp_path / "case-boxplot.csv")
+        med = {m: float(np.median([float(r[2]) for r in box_rows if r[0] == m]))
+               for m in config["modes"]}
+        band = 0.005 * med["basic-sampling"]
+        assert med["aggregation+ghost"] <= med["aggregation"] + band
+        assert med["aggregation"] <= med["basic-sampling"] + band
 
 
 class TestAdHocCommands:

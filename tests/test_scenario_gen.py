@@ -5,15 +5,17 @@ import logging
 import numpy as np
 import pytest
 
-from riskscen import scenario_gen
+from riskscen import risk_region, scenario_gen
 from riskscen.cones import FeasibleRegion, conic_hull
 from riskscen.cvar_opt import discrete_cvar
-from riskscen.distributions import EllipticalDistribution, ScenarioSet
+from riskscen.distributions import EllipticalDistribution, EmpiricalDistribution, ScenarioSet
 from riskscen.errors import ConfigError
-from riskscen.risk_region import RiskRegion, classify_mask, is_risk
+from riskscen.risk_region import RiskRegion, classify_mask, estimate_nonrisk_prob, is_risk
 from riskscen.scenario_gen import (aggregation_reduction, aggregation_sampling,
                                    expected_effective_sample_size, raw_stream)
 from riskscen.seeding import child_seed
+from riskscen.synthetic import skewed_scenarios
+from shapes import SHAPES, quota_region
 
 
 def make_region(d=2, beta=0.95, threshold=None, family="normal", nu=None):
@@ -102,6 +104,68 @@ class TestAggregationSampling:
         se_mean = runs.std(ddof=1) / np.sqrt(runs.size)
         se_q = 40 / (1 - q) ** 2 * np.sqrt(q * (1 - q) / 10**5)
         assert abs(runs.mean() - target) < 3 * np.hypot(se_mean, se_q)
+
+
+class _PlainSampler:
+    """An empirical source seen only through d and draw, so every draw is
+    classified by classify_mask rather than by its atom's verdict."""
+
+    def __init__(self, source):
+        self.d, self.draw = source.d, source.draw
+
+
+def _assert_same_report(a, b):
+    assert np.array_equal(a.scenarios.points, b.scenarios.points)
+    assert np.array_equal(a.scenarios.probs, b.scenarios.probs)
+    assert (a.n_risk, a.n_nonrisk, a.effective_sample_size, a.center_in_risk) == \
+        (b.n_risk, b.n_nonrisk, b.effective_sample_size, b.center_in_risk)
+
+
+class TestEmpiricalSource:
+    """Draws from a scenario file take their atom's verdict."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_atom_verdicts_give_the_plain_report(self, shape, monkeypatch):
+        region, plain_region = SHAPES[shape](), SHAPES[shape]()
+        source = EmpiricalDistribution(skewed_scenarios(region.d, 3000, 5))
+        plain = _PlainSampler(source)
+        classified = []
+        classify = risk_region.classify_mask
+        monkeypatch.setattr(risk_region, "classify_mask",
+                            lambda reg, pts: classified.append((reg, pts)) or classify(reg, pts))
+        for seed in (3, 4):  # the second run reuses the first run's verdicts
+            _assert_same_report(aggregation_sampling(region, source, 60, seed),
+                                aggregation_sampling(plain_region, plain, 60, seed))
+        assert (estimate_nonrisk_prob(region, 4000, 6, sampler=source)
+                == estimate_nonrisk_prob(plain_region, 4000, 6, sampler=plain))
+        # each atom was classified at most once, and fewer points than the draws
+        ours = np.vstack([pts for reg, pts in classified if reg is region])
+        theirs = sum(pts.shape[0] for reg, pts in classified if reg is plain_region)
+        assert np.unique(ours, axis=0).shape[0] == ours.shape[0] < theirs
+
+    def test_switching_scenario_sets_keeps_no_stale_verdict(self):
+        region, plain_region = quota_region(0.95), quota_region(0.95)
+        a = EmpiricalDistribution(skewed_scenarios(10, 3000, 5))
+        b = EmpiricalDistribution(skewed_scenarios(10, 3000, 6))
+        # atoms at the same index differ in verdict, so a stale verdict would show
+        assert (classify_mask(plain_region, a.scenarios.points)
+                != classify_mask(plain_region, b.scenarios.points)).any()
+        for source, seed in ((a, 1), (b, 2), (a, 3)):
+            _assert_same_report(aggregation_sampling(region, source, 60, seed),
+                                aggregation_sampling(plain_region, _PlainSampler(source), 60, seed))
+            assert (estimate_nonrisk_prob(region, 2000, seed, sampler=source)
+                    == estimate_nonrisk_prob(plain_region, 2000, seed,
+                                             sampler=_PlainSampler(source)))
+
+    def test_matches_replayed_raw_stream(self):
+        region = quota_region(0.95)
+        source = EmpiricalDistribution(skewed_scenarios(10, 3000, 5))
+        rep = aggregation_sampling(region, source, 60, 21)
+        raw = raw_stream(source, 21, rep.effective_sample_size)
+        mask = classify_mask(region, raw)
+        assert int(mask.sum()) == rep.n_risk
+        assert np.array_equal(rep.scenarios.points[:-1], raw[mask])
+        assert rep.scenarios.points[-1] == pytest.approx(raw[~mask].mean(axis=0))
 
 
 class TestAggregationReduction:
