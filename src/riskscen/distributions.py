@@ -287,7 +287,7 @@ class EmpiricalDistribution:
 
     A draw copies one of the set's atoms, chosen by its probability;
     draw_indices gives the atoms and draw their points from the same stream,
-    so a risk region can classify each atom once and look up every draw.
+    so a risk region can classify all atoms at once and look up every draw.
     """
 
     scenarios: ScenarioSet

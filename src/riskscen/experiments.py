@@ -19,7 +19,7 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -47,6 +47,7 @@ _FAMILY_TAG = {"normal": "normal", "student-t": "tdist"}
 # output plumbing
 
 
+@cache
 def git_describe() -> str:
     here = Path(__file__).resolve().parent
     try:

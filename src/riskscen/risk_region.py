@@ -40,9 +40,9 @@ class RiskRegion:
     `image_cone`, computed from the other fields, is the image P K of the
     cone under the distribution's factor P. Each region also keeps the
     archive of rays (and, for cones inside the orthant, non-risk points)
-    that classify_mask fills and reuses across calls, and the verdict of
-    each atom of the last scenario set classify_draws resampled. Both are
-    caches and never change a verdict.
+    that classify_mask fills and reuses across calls, and the risk mask of
+    every atom of the last scenario set classify_draws met. Both are caches
+    and never change a verdict.
     """
 
     dist: EllipticalDistribution
@@ -62,7 +62,7 @@ class RiskRegion:
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
         object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
         object.__setattr__(self, "_archive", _RayArchive(self.image_cone))
-        object.__setattr__(self, "_atoms", [None, None])  # scenario set, int8 verdict per atom
+        object.__setattr__(self, "_atoms", [None, None])  # scenario set, risk mask per atom
 
     @property
     def d(self) -> int:
@@ -71,6 +71,8 @@ class RiskRegion:
     def spherical_coords(self, points: np.ndarray) -> np.ndarray:
         """z = P^{-T} (y - mu), one row per point."""
         Y = np.atleast_2d(np.asarray(points, dtype=float))
+        if Y.shape[1] != self.d:
+            raise ConfigError(f"points have {Y.shape[1]} coordinates, the region has {self.d}")
         return np.linalg.solve(self.dist.factor.T, (Y - self.dist.mu).T).T
 
     def projection_norm(self, y) -> float:
@@ -253,22 +255,18 @@ def classify_draws(region: RiskRegion, sampler, rng: np.random.Generator, n: int
     """n draws from sampler and their risk mask, as classify_mask gives it.
 
     A draw from an EmpiricalDistribution copies an atom and takes that atom's
-    verdict. The region keeps one verdict per atom (-1 until decided) for
-    the last scenario set it saw, and classifies only the atoms this call
-    draws for the first time, in ascending atom order.
+    verdict. When the region first meets a scenario set it classifies all of
+    its atoms in one classify_mask call, in file order, and keeps the mask
+    until another set arrives; every draw is then a lookup.
     """
     if not isinstance(sampler, EmpiricalDistribution):
         pts = sampler.draw(rng, n)
         return pts, classify_mask(region, pts)
     scen = sampler.scenarios
     if region._atoms[0] is not scen:
-        region._atoms[:] = [scen, np.full(scen.n, -1, dtype=np.int8)]
-    verdict = region._atoms[1]
+        region._atoms[:] = [scen, classify_mask(region, scen.points)]
     idx = sampler.draw_indices(rng, n)
-    new = np.unique(idx[verdict[idx] < 0])
-    if new.size:
-        verdict[new] = classify_mask(region, scen.points[new])
-    return scen.points[idx], verdict[idx] == 1
+    return scen.points[idx], region._atoms[1][idx]
 
 
 def classify_batch(region: RiskRegion, scenarios: ScenarioSet):

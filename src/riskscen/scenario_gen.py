@@ -6,8 +6,8 @@ running mean that becomes one final scenario. Raw draws are never stored;
 points are pulled from the RNG in fixed-size chunks so a second pass with
 the same seed can rebuild the exact raw stream (see raw_stream), which the
 consistency checks rely on. Draws from an empirical source take their
-atom's verdict from the region (see classify_draws), so each atom of a
-scenario file is classified at most once per region.
+atom's verdict from the region (see classify_draws), which classifies all
+of a scenario file's atoms when it first meets the file.
 """
 
 from __future__ import annotations

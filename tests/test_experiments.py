@@ -542,3 +542,15 @@ class TestDeterminism:
         for x, y in zip(run_reduction_error(config, 47, a),
                         run_reduction_error(config, 47, b)):
             assert x.read_bytes() == y.read_bytes()
+
+    def test_provenance_runs_git_describe_once(self, monkeypatch):
+        calls = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: calls.append(a) or run(*a, **k))
+        experiments.git_describe.cache_clear()
+        try:
+            first = experiments.provenance({"a": 1}, 1)
+            assert experiments.provenance({"a": 1}, 1) == first
+        finally:
+            experiments.git_describe.cache_clear()  # forget what ran under the patch
+        assert len(calls) == 1

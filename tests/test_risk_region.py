@@ -6,7 +6,8 @@ import pytest
 from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
 from riskscen import risk_region
 from riskscen.cones import Cone, FeasibleRegion, conic_hull, project_polyhedral
-from riskscen.distributions import EllipticalDistribution, ScenarioSet, spherical_quantile
+from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
+                                    spherical_quantile)
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
                                   estimate_nonrisk_prob, is_risk)
@@ -51,6 +52,22 @@ class TestMembershipExamples:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             is_risk(standard_region(), [np.nan, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda region, scen: estimate_nonrisk_prob(region, 100, 1,
+                                                   sampler=EmpiricalDistribution(scen)),
+        lambda region, scen: estimate_nonrisk_prob(region, 100, 1, sampler=EllipticalDistribution(
+            "normal", np.zeros(4), np.eye(4))),
+        lambda region, scen: classify_batch(region, scen),
+        lambda region, scen: classify_mask(region, scen.points),
+        lambda region, scen: aggregate(region, scen),
+        lambda region, scen: is_risk(region, scen.points[0]),
+    ], ids=["estimate-empirical", "estimate-elliptical", "classify_batch", "classify_mask",
+            "aggregate", "is_risk"])
+    def test_wrong_width_rejected(self, call):
+        scen = ScenarioSet.equally_weighted(np.random.default_rng(0).normal(size=(20, 4)))
+        with pytest.raises(ConfigError, match="4 coordinates, the region has 3"):
+            call(standard_region(d=3), scen)
 
 
 class TestGhostBoxProjection:
