@@ -30,7 +30,8 @@ import numpy as np
 
 from . import lp
 from .cones import FeasibleRegion
-from .distributions import EllipticalDistribution, ScenarioSet
+from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
+                            portfolio_loss_stats)
 from .errors import ConfigError, SolverError
 
 P1 = "P1"  # min CVaR subject to a target expected return
@@ -155,6 +156,15 @@ def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
     CVaR = (sum_{loss > V} p*loss + V*(P[loss <= V] - beta)) / (1 - beta).
     """
     return _loss_tail(scenarios, x, beta)[2]
+
+
+def _source_tail(source, x, beta: float) -> tuple[float, float]:
+    """Exact (VaR, CVaR) of the loss -x'Y: the closed form if elliptical, the atoms if empirical."""
+    if isinstance(source, EllipticalDistribution):
+        return portfolio_loss_stats(source, x, beta)[:2]
+    if isinstance(source, EmpiricalDistribution):
+        return _loss_tail(source.scenarios, x, beta)[1:]
+    raise ConfigError("exact CVaR needs an elliptical or empirical distribution source")
 
 
 def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> float:

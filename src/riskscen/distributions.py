@@ -257,7 +257,7 @@ class ScenarioSet:
         if not np.all(np.isfinite(pts)):
             raise ConfigError("scenario outcomes must be finite")
         if np.any(pr < 0) or not np.all(np.isfinite(pr)):
-            raise ConfigError("scenario probabilities must be nonnegative")
+            raise ConfigError("scenario probabilities must be finite and nonnegative")
         if abs(pr.sum() - 1.0) > 1e-12:
             raise ConfigError(f"scenario probabilities sum to {pr.sum()!r}, not 1")
         object.__setattr__(self, "points", pts)
@@ -378,8 +378,8 @@ def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
     """Numeric CSV: an optional header row, then rows of floats of one width.
 
     Returns (header or None, (n, width) array). Blank lines are skipped. A
-    ragged row or a non-numeric field raises ConfigError naming path:line,
-    as does a file that cannot be opened or decoded.
+    ragged row or a non-numeric or non-finite field raises ConfigError naming
+    path:line, as does a file that cannot be opened or decoded.
     """
     path = Path(path)
     try:
@@ -400,6 +400,8 @@ def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ConfigError(f"{path}:{reader.line_num}: non-finite field")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not rows:

@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .cones import Cone, ConeProjector, FeasibleRegion, conic_hull
-from .cvar_opt import (P1, Cardinality, PortfolioProblem, discrete_cvar,
+from .cvar_opt import (P1, Cardinality, PortfolioProblem, _source_tail, discrete_cvar,
                        solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                             atomic_write, fit_from_returns, load_returns_csv, load_scenarios,
-                            portfolio_loss_stats, read_csv, sample)
+                            read_csv, sample)
 from .errors import ConfigError
 from .risk_region import BOUNDARY_TOL, RiskRegion, estimate_nonrisk_prob
 from .saa import MODES, SaaConfig, run_saa, write_history
@@ -309,17 +309,14 @@ def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effecti
         region_dist = fit_from_returns(source.points, family, nu=nu, weights=source.probs)
         problem = PortfolioProblem(region, beta, mu=sampler.mean, mode=P1)
         truth = solve_lp(problem, source)
-
-        def true_gap(x):
-            return discrete_cvar(source, x, beta) - truth.cvar
     else:
         sampler = region_dist = _trial_distribution(source, family, nu, seed, d, trial)
         problem = PortfolioProblem(region, beta, mu=region_dist.mu, mode=P1)
         truth = solve_exact_elliptical(problem, region_dist)
 
-        def true_gap(x):
-            _, cvar, _ = portfolio_loss_stats(region_dist, x, beta)
-            return cvar - truth.cvar
+    def true_gap(x):
+        return _source_tail(sampler, x, beta)[1] - truth.cvar
+
     rr = RiskRegion(region_dist, conic_hull(region), beta, threshold=threshold)
 
     basic_gaps, agg_gaps = [], []
@@ -463,7 +460,7 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
     for mode in modes:
         best, history = results[mode]
         final = history[-1]
-        oos = [discrete_cvar(scen, x, beta) for x in final.solutions]
+        oos = [_source_tail(source, x, beta)[1] for x in final.solutions]
         box_rows.extend([[mode, m + 1, v] for m, v in enumerate(oos)])
         summary_rows.append([mode, float(np.median(oos)), float(np.min(oos)),
                              best.cvar, len(history), final.n])

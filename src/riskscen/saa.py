@@ -7,7 +7,7 @@ Tighter boxes shrink the feasible set's conic hull, which grows the
 non-risk region and makes aggregation sampling cheaper and sharper. Ghost
 bounds only ever tighten, and they never relax the original constraints, so
 every candidate stays feasible for the true problem. The final answer is
-picked by out-of-sample CVaR on a fresh validation sample.
+the candidate of lowest exact CVaR under the source.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (PortfolioProblem, _loss_tail, _solution, evaluate_objective,
+from .cvar_opt import (PortfolioProblem, _solution, _source_tail, evaluate_objective,
                        solve_cardinality, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, atomic_write,
                             fit_from_returns, normal_quantile, sample)
@@ -34,7 +34,7 @@ AGGREGATION_GHOST = "aggregation+ghost"
 MODES = (BASIC, AGGREGATION, AGGREGATION_GHOST)
 
 # child-seed stream tags
-_T_SAMPLE, _T_PROB, _T_VALIDATE = 1, 2, 3
+_T_SAMPLE, _T_PROB = 1, 2
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class SaaConfig:
     replications: int = 10
     alpha_gap: float = 0.95
     alpha_ghost: float = 0.99
-    validation_n: int = 100_000
+    validation_n: int = 100_000  # accepted and unread (the pick is exact); goes with ROADMAP item 1
     gap_tol: float = 1e-4
     var_tol: float = 1e-4
     max_iterations: int = 8
@@ -52,16 +52,14 @@ class SaaConfig:
     prob_estimate_n: int = 2000
 
     def __post_init__(self):
-        if self.n0 < 1 or self.dn < 0:
+        if min(self.n0, self.validation_n, self.prob_estimate_n) < 1 or self.dn < 0:
             raise ConfigError("sample sizes must be positive")
-        if self.validation_n < 1 or self.prob_estimate_n < 1:
-            raise ConfigError("validation and probability-estimate sample sizes must be positive")
         if self.replications < 2:
             raise ConfigError("need at least two replications")
         if self.max_iterations < 1:
             raise ConfigError("need at least one iteration")
-        if not 0.5 < self.alpha_gap < 1.0 or not 0.0 < self.alpha_ghost < 1.0:
-            raise ConfigError("confidence levels must be in (0.5, 1) / (0, 1)")
+        if not 0.5 < self.alpha_gap < 1.0 or not 0.5 < self.alpha_ghost < 1.0:
+            raise ConfigError("confidence levels must be in (0.5, 1)")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
@@ -134,6 +132,8 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
     1e-12 are closed at u. If the box kills feasibility the level is widened
     once (alpha <- (1+alpha)/2); a second failure is an error.
     """
+    if not 0.5 < alpha < 1.0:  # below 0.5, z < 0 and the box comes out inverted
+        raise ConfigError("confidence level must be in (0.5, 1)")
     X = np.atleast_2d(np.asarray(solutions, dtype=float))
     m = X.shape[0]
     xbar = X.mean(axis=0)
@@ -165,25 +165,18 @@ def _bounds_feasible(region: FeasibleRegion, l, u, cardinality) -> bool:
     return True
 
 
-def _surrogate_for(source):
-    if isinstance(source, EllipticalDistribution):
-        return source
-    if isinstance(source, EmpiricalDistribution):
-        scen = source.scenarios
-        return fit_from_returns(scen.points, "student-t", nu=4.0, weights=scen.probs)
-    raise ConfigError("cannot build a risk region for this distribution source")
-
-
 def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
             surrogate: EllipticalDistribution | None = None):
-    """Run the SAA loop and return (best out-of-sample solution, history).
+    """Run the SAA loop and return (the pick, history).
 
     `source` supplies the scenario draws (elliptical or empirical); in
     aggregation modes the risk region uses `surrogate` when given, otherwise
     the source itself (elliptical) or a moment-fitted t(4) stand-in
-    (empirical). Fixed (config, seed) reproduce the history bit-for-bit,
-    timings aside.
+    (empirical). The pick has the lowest exact CVaR under `source` of all
+    candidates. Fixed (config, seed) fix both bit-for-bit, timings aside.
     """
+    if not isinstance(source, (EllipticalDistribution, EmpiricalDistribution)):
+        raise ConfigError("SAA needs an elliptical or empirical distribution source")
     region0 = problem.region
     lower = region0.lower.copy()
     upper = region0.upper.copy()
@@ -191,7 +184,8 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
     history: list[SaaState] = []
     aggregating = config.mode in (AGGREGATION, AGGREGATION_GHOST)
     if aggregating and surrogate is None:
-        surrogate = _surrogate_for(source)
+        surrogate = source if isinstance(source, EllipticalDistribution) else fit_from_returns(
+            source.scenarios.points, "student-t", nu=4.0, weights=source.scenarios.probs)
 
     # the problem on the current box and its risk region, rebuilt only when a ghost box lands
     problem_t = problem
@@ -235,23 +229,16 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
             problem_t = replace(problem, region=region0.with_bounds(lower, upper))
             rr = RiskRegion(surrogate, conic_hull(problem_t.region), problem.beta)
 
-    return _screen_candidates(problem, source, config, seed, history), history
+    return _screen_candidates(problem, source, seed, history), history
 
 
-def _screen_candidates(problem, source, config, seed, history):
-    """Out-of-sample screening: lowest validation CVaR, ties by lower VaR."""
-    validation = sample(source, config.validation_n, child_seed(seed, _T_VALIDATE))
-    best = None
-    best_key = None
-    for state in history:
-        for x, z in zip(state.solutions, state.supports):
-            _, var, cvar = _loss_tail(validation, x, problem.beta)
-            key = (cvar, var)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = _solution(problem, x, cvar, z=z, seed=int(seed),
-                                 scenario_count=validation.n)
-    return best
+def _screen_candidates(problem, source, seed, history):
+    """The candidate of lowest exact CVaR under `source`, ties by lower exact VaR."""
+    tails = [(_source_tail(source, x, problem.beta)[::-1], x, z)  # ((CVaR, VaR), x, z)
+             for state in history for x, z in zip(state.solutions, state.supports)]
+    (cvar, _), x, z = min(tails, key=lambda t: t[0])
+    count = source.scenarios.n if isinstance(source, EmpiricalDistribution) else None
+    return _solution(problem, x, cvar, z=z, seed=int(seed), scenario_count=count)
 
 
 def write_history(history, path, meta: dict | None = None) -> None:

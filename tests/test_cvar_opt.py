@@ -15,14 +15,14 @@ from oracles import (cvar_at, elliptical_objective_oracle, in_region, ru_lp_orac
 from riskscen import cvar_opt
 from riskscen.cones import FeasibleRegion, conic_hull
 from riskscen.cvar_opt import (P1, P3, Cardinality, PortfolioProblem, _loss_tail, _scenario_risk,
-                               discrete_cvar, solve_cardinality, solve_exact_elliptical,
-                               solve_lp)
+                               _source_tail, discrete_cvar, solve_cardinality,
+                               solve_exact_elliptical, solve_lp)
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
-                                    fit_from_returns, portfolio_loss_stats, sample)
+                                    fit_from_returns, load_scenarios, portfolio_loss_stats, sample)
 from riskscen.errors import ConfigError, SolverError
 from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.scenario_gen import aggregation_reduction, aggregation_sampling
-from riskscen.synthetic import skewed_scenarios, synthetic_returns
+from riskscen.synthetic import skewed_scenarios, synthetic_returns, write_skewed_scenarios
 
 
 def equal_losses(losses):
@@ -305,6 +305,42 @@ class TestSolveLpOracle:
         assert in_region(region, sol.x, tol=1e-9)
         if mode == P1:
             assert sol.x @ dist.mu >= problem.tau - 1e-9
+
+
+class TestSourceTail:
+    """The exact tail that SAA screening and the experiments grade portfolios by."""
+
+    @staticmethod
+    def sampled(source, x, beta, n, seed):
+        """CVaR of n draws, and four standard errors of it by the CLT.
+
+        The estimator's influence terms are VaR + (L - VaR)^+ / (1 - beta).
+        """
+        losses, var, cvar = _loss_tail(sample(source, n, seed), x, beta)
+        sd = np.std(var + np.maximum(losses - var, 0.0) / (1.0 - beta), ddof=1)
+        return cvar, 4.0 * sd / np.sqrt(n)
+
+    def test_t4_elliptical_lies_in_the_clt_band(self):
+        _, R = synthetic_returns(5, 240, 3, family="student-t")
+        dist = fit_from_returns(R, "student-t", nu=4.0)
+        x = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+        var, cvar = _source_tail(dist, x, 0.95)
+        assert (var, cvar) == portfolio_loss_stats(dist, x, 0.95)[:2]
+        estimate, band = self.sampled(dist, x, 0.95, 200_000, 5)
+        assert abs(estimate - cvar) <= band < 0.05 * abs(cvar)
+
+    def test_scenario_file_lies_in_the_clt_band(self, tmp_path):
+        scen = load_scenarios(write_skewed_scenarios(tmp_path / "scen.csv", 5, 3000, 4))
+        source = EmpiricalDistribution(scen)
+        x = np.full(5, 0.2)
+        var, cvar = _source_tail(source, x, 0.99)
+        assert (var, cvar) == _loss_tail(scen, x, 0.99)[1:]
+        estimate, band = self.sampled(source, x, 0.99, 200_000, 6)
+        assert abs(estimate - cvar) <= band < 0.05 * abs(cvar)
+
+    def test_other_sources_are_refused(self):
+        with pytest.raises(ConfigError, match="elliptical or empirical"):
+            _source_tail(equal_losses([1.0, 2.0]), [1.0], 0.9)
 
 
 class TestSolveExact:

@@ -230,8 +230,9 @@ class TestScenarioSet:
             ScenarioSet(np.zeros((2, 1)), np.array([0.6, 0.5]))
 
     def test_no_negative_probs(self):
-        with pytest.raises(ConfigError):
-            ScenarioSet(np.zeros((2, 1)), np.array([1.1, -0.1]))
+        for probs in ([1.1, -0.1], [np.nan, 1.0]):
+            with pytest.raises(ConfigError, match="finite and nonnegative"):
+                ScenarioSet(np.zeros((2, 1)), np.array(probs))
 
     def test_no_nonfinite_points(self):
         with pytest.raises(ConfigError):
@@ -300,6 +301,18 @@ class TestScenarioIO:
         path.write_text("prob,y1\n0.5,1.0\n0.5,oops\n")
         with pytest.raises(ConfigError, match=":3"):
             load_scenarios(path)
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_scenarios, "prob,y1\n0.5,1.0\nnan,2.0\n"),
+        (load_scenarios, "prob,y1\n0.5,1.0\n0.5,nan\n"),
+        (lambda path: fit_from_returns(path, "normal"), "A,B\n0.01,0.02\n-0.01,inf\n"),
+        (lambda path: read_csv(path, header=False), "1.0,2.0\n\n-Infinity,4.0\n"),
+    ], ids=["scenario-prob", "scenario-outcome", "returns", "points"])
+    def test_nonfinite_field_reports_line(self, tmp_path, loader, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"bad\.csv:3: non-finite field"):
+            loader(path)
 
     def test_read_csv_skips_blank_lines_and_reports_ragged_row(self, tmp_path):
         path = tmp_path / "pts.csv"

@@ -253,13 +253,17 @@ class TestCaseStudy:
         summary = {r[0]: r for r in summary_rows}
         for mode in config["modes"]:
             lines = (tmp_path / f"case-history-{mode}.jsonl").read_text().splitlines()
-            final = json.loads(lines[-1])["solutions"]
+            states = [json.loads(line)["solutions"] for line in lines[1:]]
+            final = states[-1]
             exact = [discrete_cvar(atoms, np.array(x), 0.95) for x in final]
             values = [float(r[2]) for r in box_rows if r[0] == mode]
             assert [int(r[1]) for r in box_rows if r[0] == mode] == list(range(1, len(final) + 1))
             assert values == exact
             assert float(summary[mode][1]) == float(np.median(exact))
             assert float(summary[mode][2]) == min(exact)
+            # the SAA pick is screened over every iteration's candidates, exactly
+            assert float(summary[mode][3]) == min(discrete_cvar(atoms, np.array(x), 0.95)
+                                                  for xs in states for x in xs)
 
     @pytest.mark.slow
     def test_order_of_medians_at_d30(self, tmp_path):

@@ -1,6 +1,8 @@
 """Gap estimation, ghost bounds, and the SAA loop."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ import pytest
 from oracles import in_region
 from riskscen import saa
 from riskscen.cones import ConeProjector, FeasibleRegion, cone_member, conic_hull
-from riskscen.cvar_opt import PortfolioProblem
-from riskscen.distributions import EllipticalDistribution, normal_quantile
+from riskscen.cvar_opt import PortfolioProblem, _loss_tail, discrete_cvar
+from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
+                                    normal_quantile, portfolio_loss_stats)
 from riskscen.errors import ConfigError, SolverError
 from riskscen.saa import (SaaConfig, estimate_gap, run_saa, update_ghost_bounds,
                           write_history)
-from riskscen.seeding import child_seed
+from riskscen.synthetic import skewed_scenarios
 
 
 class TestEstimateGap:
@@ -58,6 +61,13 @@ class TestEstimateGap:
 
 
 class TestGhostBounds:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 1.0])
+    def test_level_outside_half_to_one_rejected(self, alpha):
+        region = FeasibleRegion(3, 1.0)
+        sols = np.random.default_rng(0).dirichlet(np.ones(3), size=6)
+        with pytest.raises(ConfigError, match=r"\(0.5, 1\)"):
+            update_ghost_bounds(sols, alpha, region, region.lower, region.upper)
+
     def test_identical_solutions_collapse_to_point_box(self):
         region = FeasibleRegion(3, 1.0)
         x = np.array([0.2, 0.3, 0.5])
@@ -208,17 +218,40 @@ class TestRunSaa:
             for x in state.solutions:
                 assert in_region(problem.region, x, tol=1e-7)
 
-    def test_best_solution_wins_validation(self):
+    @pytest.mark.parametrize("empirical", [False, True])
+    def test_pick_has_the_lowest_exact_cvar(self, empirical):
+        problem, dist = toy_problem(3)
+        if empirical:
+            scen = skewed_scenarios(3, 400, 7)
+            source = EmpiricalDistribution(scen)
+            problem = PortfolioProblem(problem.region, problem.beta, mu=source.mean)
+        else:
+            source = dist
+
+        def exact(x):  # (CVaR, VaR): the pick's order
+            if empirical:
+                _, var, cvar = _loss_tail(scen, x, problem.beta)
+                assert cvar == discrete_cvar(scen, x, problem.beta)
+            else:
+                var, cvar, _ = portfolio_loss_stats(dist, x, problem.beta)
+            return cvar, var
+
+        cfg = SaaConfig(n0=40, dn=20, replications=4, gap_tol=0.0, var_tol=0.0,
+                        max_iterations=2, mode="basic-sampling")
+        best, history = run_saa(problem, source, cfg, 23)
+        lowest = min(exact(x) for state in history for x in state.solutions)
+        assert len(history) == 2
+        assert exact(best.x) == lowest and best.cvar == lowest[0]
+        assert best.scenario_count == (scen.n if empirical else None)
+        # validation_n is accepted and unread
+        again, _ = run_saa(problem, source, replace(cfg, validation_n=1), 23)
+        assert np.array_equal(again.x, best.x) and again.cvar == best.cvar
+
+    def test_source_without_exact_cvar_is_refused_up_front(self, monkeypatch):
         problem, dist = toy_problem()
-        cfg = SaaConfig(n0=40, dn=20, replications=4, validation_n=3000,
-                        gap_tol=0.0, var_tol=0.0, max_iterations=2, mode="basic-sampling")
-        best, history = run_saa(problem, dist, cfg, 23)
-        from riskscen.cvar_opt import discrete_cvar
-        from riskscen.distributions import sample as sample_scen
-        validation = sample_scen(dist, cfg.validation_n, child_seed(23, 3))
-        for state in history:
-            for x in state.solutions:
-                assert best.cvar <= discrete_cvar(validation, x, problem.beta) + 1e-12
+        monkeypatch.setattr(saa, "sample", lambda *args: pytest.fail("SAA ran"))
+        with pytest.raises(ConfigError, match="elliptical or empirical"):
+            run_saa(problem, SimpleNamespace(draw=dist.draw, d=dist.d), SaaConfig(), 1)
 
     def test_history_serialization(self, tmp_path):
         problem, dist = toy_problem()
@@ -240,6 +273,9 @@ class TestRunSaa:
             SaaConfig(mode="bogus")
         with pytest.raises(ConfigError):
             SaaConfig(alpha_gap=0.4)
+        for alpha in (0.01, 0.3, 0.5, 1.0):
+            with pytest.raises(ConfigError):
+                SaaConfig(alpha_ghost=alpha)
         with pytest.raises(ConfigError):
             SaaConfig(validation_n=0)
         with pytest.raises(ConfigError):
