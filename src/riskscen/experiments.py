@@ -197,7 +197,7 @@ def _quota_region(d: int, quota: float, capital: float = 1.0) -> FeasibleRegion:
 
 
 def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
-    """Monte Carlo non-risk probabilities over (trial, quota, beta) grids."""
+    """Monte Carlo non-risk probabilities; the (quota, beta) cells of a row share their draws."""
     with _reading("prob-table config", config) as cfg:
         dims = [int(v) for v in cfg.get("dimensions", [5])]
         betas = [float(v) for v in cfg.get("betas", [0.95, 0.99])]
@@ -227,13 +227,12 @@ def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
 
 def _prob_cell(universe, family, nu, seed, betas, quotas, n_points, d, trial):
     dist = _trial_distribution(universe, family, nu, seed, d, trial)
+    row_seed = child_seed(seed, _T_PROB, trial, d)
     values = []
-    for qi, q in enumerate(quotas):
+    for q in quotas:
         cone = conic_hull(_quota_region(d, q))
-        for bi, b in enumerate(betas):
-            region = RiskRegion(dist, cone, b)
-            values.append(estimate_nonrisk_prob(
-                region, n_points, child_seed(seed, _T_PROB, trial, d, qi, bi)))
+        for b in betas:
+            values.append(estimate_nonrisk_prob(RiskRegion(dist, cone, b), n_points, row_seed))
     return values
 
 
@@ -440,19 +439,14 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
         write_history(history, out / f"case-history-{mode}.jsonl", meta=prov)
 
     iters = max(len(h) for _, h in results.values())
-    gap_rows = []
-    prob_rows = []
+    gap_rows, prob_rows = [], []
     for it in range(iters):
-        row = [it + 1]
-        prow = [it + 1]
+        row, prow = [it + 1], [it + 1]
         for mode in modes:
             history = results[mode][1]
-            if it < len(history):
-                row.append(float(np.min(history[it].gaps)))
-                prow.append(history[it].nonrisk_prob if history[it].nonrisk_prob is not None else "")
-            else:
-                row.append("")
-                prow.append("")
+            state = history[it] if it < len(history) else None
+            row.append("" if state is None else float(np.min(state.gaps)))
+            prow.append("" if state is None or state.nonrisk_prob is None else state.nonrisk_prob)
         gap_rows.append(row)
         prob_rows.append(prow)
     box_rows = []

@@ -7,7 +7,12 @@ Tighter boxes shrink the feasible set's conic hull, which grows the
 non-risk region and makes aggregation sampling cheaper and sharper. Ghost
 bounds only ever tighten, and they never relax the original constraints, so
 every candidate stays feasible for the true problem. The final answer is
-the candidate of lowest exact CVaR under the source.
+the candidate of lowest exact CVaR under the source. Each aggregating
+replication draws until it holds n risk scenarios, so an iteration's pooled
+draw counts are one inverse binomial sample: sum(n_nonrisk) /
+(sum(effective_sample_size) - 1) estimates the region's non-risk probability
+without bias (Haldane, Biometrika 33 (1945) 222-225). A replication that met no
+non-risk draw counts its fresh final point as one (see AggSampleReport).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .cvar_opt import (PortfolioProblem, _solution, _source_tail, evaluate_objec
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, atomic_write,
                             fit_from_returns, normal_quantile, sample)
 from .errors import ConfigError, SolverError
-from .risk_region import RiskRegion, estimate_nonrisk_prob
+from .risk_region import RiskRegion
 from .scenario_gen import aggregation_sampling
 from .seeding import child_seed
 
@@ -33,8 +38,7 @@ AGGREGATION = "aggregation"
 AGGREGATION_GHOST = "aggregation+ghost"
 MODES = (BASIC, AGGREGATION, AGGREGATION_GHOST)
 
-# child-seed stream tags
-_T_SAMPLE, _T_PROB = 1, 2
+_T_SAMPLE = 1  # child-seed stream tag
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class SaaConfig:
     var_tol: float = 1e-4
     max_iterations: int = 8
     mode: str = BASIC
-    prob_estimate_n: int = 2000
+    prob_estimate_n: int = 2000  # accepted and unread (draws estimate it), like validation_n
 
     def __post_init__(self):
         if min(self.n0, self.validation_n, self.prob_estimate_n) < 1 or self.dn < 0:
@@ -66,7 +70,8 @@ class SaaConfig:
 
 @dataclass
 class SaaState:
-    """One Algorithm-2 iteration: bounds, replication results, gap estimates."""
+    """One Algorithm-2 iteration: bounds, replication results, gap estimates and
+    the non-risk probability its draws estimate (module docstring; None in basic sampling)."""
 
     iteration: int
     n: int
@@ -129,8 +134,9 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
     quota), then intersected with the incoming bounds so ghost boxes only
     shrink. Replication solutions that agree to rounding collapse the box,
     and the intersection can then cross (l > u) by rounding; crossings up to
-    1e-12 are closed at u. If the box kills feasibility the level is widened
-    once (alpha <- (1+alpha)/2); a second failure is an error.
+    1e-12 close at min(l, incoming upper), inside the incoming box. If the box
+    kills feasibility the level is widened once (alpha <- (1+alpha)/2); a
+    second failure is an error.
     """
     if not 0.5 < alpha < 1.0:  # below 0.5, z < 0 and the box comes out inverted
         raise ConfigError("confidence level must be in (0.5, 1)")
@@ -138,13 +144,13 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
     m = X.shape[0]
     xbar = X.mean(axis=0)
     sigma = X.std(axis=0, ddof=1) if m > 1 else np.zeros(X.shape[1])
+    lo, hi = np.maximum(lower, region.lower), np.minimum(upper, region.upper)
     for attempt in range(2):
         z = normal_quantile(alpha)
-        l = np.maximum(xbar - z * sigma / np.sqrt(m), 0.0)
-        u = np.minimum(xbar + z * sigma / np.sqrt(m), region.upper)
-        l = np.maximum(l, np.maximum(lower, region.lower))
-        u = np.minimum(u, np.minimum(upper, region.upper))
-        l = np.where(l - u <= 1e-12, np.minimum(l, u), l)
+        l = np.maximum(xbar - z * sigma / np.sqrt(m), lo)
+        u = np.minimum(xbar + z * sigma / np.sqrt(m), hi)
+        crossed = (l > u) & (l - u <= 1e-12)
+        l, u = np.where(crossed, np.minimum(l, hi), [l, u])
         if _bounds_feasible(region, l, u, cardinality):
             return l, u
         alpha = (1.0 + alpha) / 2.0
@@ -192,11 +198,12 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
     rr = RiskRegion(surrogate, conic_hull(region0), problem.beta) if aggregating else None
     for it in range(config.max_iterations):
         t0 = time.perf_counter()
-        nu, xs, zs, seeds, sets = [], [], [], [], []
+        nu, xs, zs, seeds, sets, reports = [], [], [], [], [], []
         for m in range(config.replications):
             s_m = child_seed(seed, _T_SAMPLE, it, m)
             if aggregating:
-                scen = aggregation_sampling(rr, source, n, s_m).scenarios
+                reports.append(aggregation_sampling(rr, source, n, s_m))
+                scen = reports[-1].scenarios
             else:
                 scen = sample(source, n, s_m)
             sol = (solve_cardinality(problem_t, scen)
@@ -211,10 +218,8 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
 
         g = np.array([[evaluate_objective(problem, scen, x) for x in xs] for scen in sets])
         gaps, half = estimate_gap(nu, g, config.alpha_gap)
-        prob_est = None
-        if aggregating:
-            prob_est = estimate_nonrisk_prob(rr, config.prob_estimate_n,
-                                             child_seed(seed, _T_PROB, it), sampler=source)
+        prob_est = (sum(r.n_nonrisk for r in reports)
+                    / (sum(r.effective_sample_size for r in reports) - 1) if aggregating else None)
         state = SaaState(it, n, lower.copy(), upper.copy(), nu, xs, zs, g, gaps, half,
                          prob_est, seeds, elapsed=time.perf_counter() - t0)
         history.append(state)

@@ -10,12 +10,16 @@ import pytest
 from oracles import in_region
 from riskscen import saa
 from riskscen.cones import ConeProjector, FeasibleRegion, cone_member, conic_hull
-from riskscen.cvar_opt import PortfolioProblem, _loss_tail, discrete_cvar
+from riskscen.cvar_opt import P1, Cardinality, PortfolioProblem, _loss_tail, discrete_cvar
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution,
-                                    normal_quantile, portfolio_loss_stats)
+                                    fit_from_returns, normal_quantile, portfolio_loss_stats)
 from riskscen.errors import ConfigError, SolverError
+from riskscen.experiments import _T_CASE
+from riskscen.risk_region import RiskRegion, classify_mask
 from riskscen.saa import (SaaConfig, estimate_gap, run_saa, update_ghost_bounds,
                           write_history)
+from riskscen.scenario_gen import aggregation_sampling
+from riskscen.seeding import child_seed
 from riskscen.synthetic import skewed_scenarios
 
 
@@ -88,6 +92,16 @@ class TestGhostBounds:
         assert np.all(l <= u)
         assert l == pytest.approx(x, abs=1e-12)
         assert u == pytest.approx(x, abs=1e-12)
+
+    def test_rounding_crossing_closes_inside_the_incoming_box(self):
+        # The incoming box is collapsed on x and the replications sit one ulp
+        # below it in one coordinate: the crossing must close at a point of
+        # the incoming box, or the boxes stop nesting.
+        region = FeasibleRegion(3, 1.0)
+        x = np.array([0.2, 0.3, 0.5])
+        below = np.array([0.2, np.nextafter(0.3, 0.0), 0.5])
+        l, u = update_ghost_bounds(np.tile(below, (4, 1)), 0.99, region, x, x)
+        assert np.all(l >= x) and np.all(u <= x) and np.all(l <= u)
 
     def test_huge_spread_clamps_to_quota(self):
         region = FeasibleRegion(2, 1.0, upper=[0.8, 0.8])
@@ -265,6 +279,55 @@ class TestRunSaa:
         rec = json.loads(lines[0])
         assert {"iteration", "n", "lower", "upper", "nu", "solutions", "gaps",
                 "ci_halfwidths", "nonrisk_prob", "seeds", "elapsed"} <= set(rec)
+
+    @pytest.fixture(scope="class")
+    def criterion_09(self):
+        """Criterion 09's aggregating SAA runs: (surrogate, scenario file, problem, histories)."""
+        scen = skewed_scenarios(12, 3000, child_seed(90_900, _T_CASE, 0))
+        source = EmpiricalDistribution(scen)
+        surrogate = fit_from_returns(scen.points, "student-t", nu=4.0, weights=scen.probs)
+        problem = PortfolioProblem(FeasibleRegion(12, 1.0, upper=np.ones(12)), 0.99,
+                                   mu=source.mean, mode=P1, cardinality=Cardinality(4))
+        histories = {}
+        for mode in ("aggregation", "aggregation+ghost"):
+            cfg = SaaConfig(n0=200, dn=100, replications=10, gap_tol=0.0, var_tol=0.0,
+                            max_iterations=4, mode=mode)
+            histories[mode] = run_saa(problem, source, cfg, child_seed(90_900, _T_CASE, 1),
+                                      surrogate=surrogate)[1]
+        return surrogate, scen, problem, histories
+
+    @staticmethod
+    def _region(surrogate, problem, state):
+        box = problem.region.with_bounds(state.lower, state.upper)
+        return RiskRegion(surrogate, conic_hull(box), problem.beta)
+
+    @pytest.mark.parametrize("mode", ["aggregation", "aggregation+ghost"])
+    def test_nonrisk_prob_is_read_off_the_replication_draws(self, criterion_09, mode):
+        surrogate, scen, problem, histories = criterion_09
+        source = EmpiricalDistribution(scen)
+        for state in histories[mode]:
+            rr = self._region(surrogate, problem, state)
+            reports = [aggregation_sampling(rr, source, state.n, s) for s in state.seeds]
+            expected = (sum(r.n_nonrisk for r in reports)
+                        / (sum(r.effective_sample_size for r in reports) - 1))
+            assert state.nonrisk_prob == expected
+
+    @pytest.mark.parametrize("mode", ["aggregation", "aggregation+ghost"])
+    def test_nonrisk_prob_within_four_sd_of_the_exact_file_mass(self, criterion_09, mode):
+        # The pooled inverse binomial estimate of q from M replications of n
+        # risk draws each has sd about (1 - q) sqrt(q / (M n)).
+        surrogate, scen, problem, histories = criterion_09
+        for state in histories[mode]:
+            rr = self._region(surrogate, problem, state)
+            exact = float(scen.probs[~classify_mask(rr, scen.points, use_shortcuts=False)].sum())
+            sd = (1.0 - exact) * np.sqrt(exact / (len(state.seeds) * state.n))
+            assert abs(state.nonrisk_prob - exact) <= 4 * sd, state.iteration
+
+    def test_basic_mode_has_no_nonrisk_prob(self):
+        problem, dist = toy_problem()
+        cfg = SaaConfig(n0=30, dn=10, replications=2, max_iterations=1, mode="basic-sampling")
+        _, history = run_saa(problem, dist, cfg, 3)
+        assert history[0].nonrisk_prob is None
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
