@@ -423,19 +423,23 @@ def atomic_write(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_returns_csv(path) -> tuple[list[str], np.ndarray]:
-    """Returns CSV: ticker header row, one row of decimal returns per month."""
-    return read_csv(path)
+load_returns_csv = read_csv  # returns CSV: ticker header row, one row of decimal returns per month
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Header row, then rows of floats by repr, so read_csv reloads them bit-identically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    atomic_write(path, buf.getvalue())
 
 
 def save_scenarios(scenarios: ScenarioSet, path) -> None:
-    """Write `prob,y1..yd` CSV; floats use repr so a reload is bit-identical."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["prob"] + [f"y{j + 1}" for j in range(scenarios.d)])
-    for p, y in zip(scenarios.probs, scenarios.points):
-        writer.writerow([repr(float(p))] + [repr(float(v)) for v in y])
-    atomic_write(path, buf.getvalue())
+    """Write `prob,y1..yd` CSV, the format load_scenarios reads."""
+    write_csv(path, ["prob"] + [f"y{j + 1}" for j in range(scenarios.d)],
+              ([p, *y] for p, y in zip(scenarios.probs, scenarios.points)))
 
 
 def load_scenarios(path) -> ScenarioSet:

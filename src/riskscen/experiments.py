@@ -32,7 +32,7 @@ from .distributions import (EllipticalDistribution, EmpiricalDistribution, Scena
                             atomic_write, fit_from_returns, load_returns_csv, load_scenarios,
                             read_csv, sample)
 from .errors import ConfigError
-from .risk_region import BOUNDARY_TOL, RiskRegion, estimate_nonrisk_prob
+from .risk_region import RiskRegion, classify_mask
 from .saa import MODES, SaaConfig, run_saa, write_history
 from .scenario_gen import aggregation_reduction, aggregation_sampling
 from .seeding import GENERATOR_NAME, child_seed, rng_from
@@ -197,13 +197,15 @@ def _quota_region(d: int, quota: float, capital: float = 1.0) -> FeasibleRegion:
 
 
 def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Path]:
-    """Monte Carlo non-risk probabilities; the (quota, beta) cells of a row share their draws."""
+    """Monte Carlo non-risk probabilities; a row is one draw set, classified per cell's region."""
     with _reading("prob-table config", config) as cfg:
         dims = [int(v) for v in cfg.get("dimensions", [5])]
         betas = [float(v) for v in cfg.get("betas", [0.95, 0.99])]
         quotas = [float(v) for v in cfg.get("quotas", [1.0])]
         trials = int(cfg.get("trials", 5))
         n_points = int(cfg.get("n_points", 2000))
+        if n_points < 1:
+            raise ConfigError("prob-table needs at least one point per row")
         family = cfg.get("family", "normal")
         fam = _FAMILY_TAG[family]
         nu = float(cfg.get("nu", 4.0))
@@ -227,12 +229,13 @@ def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
 
 def _prob_cell(universe, family, nu, seed, betas, quotas, n_points, d, trial):
     dist = _trial_distribution(universe, family, nu, seed, d, trial)
-    row_seed = child_seed(seed, _T_PROB, trial, d)
+    pts = dist.draw(rng_from(child_seed(seed, _T_PROB, trial, d)), n_points)
     values = []
     for q in quotas:
         cone = conic_hull(_quota_region(d, q))
         for b in betas:
-            values.append(estimate_nonrisk_prob(RiskRegion(dist, cone, b), n_points, row_seed))
+            mask = classify_mask(RiskRegion(dist, cone, b), pts)
+            values.append(float((~mask).sum() / n_points))
     return values
 
 
@@ -254,7 +257,9 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
             raise ConfigError("stability needs at least two sets per trial for its sd columns")
         beta = float(cfg.get("beta", 0.95))
         target = int(cfg.get("n_risk_target", 100))
-        match_effective = bool(cfg.get("match_effective", False))
+        match_effective = cfg.get("match_effective", False)
+        if not isinstance(match_effective, bool):
+            raise ConfigError("stability config: match_effective must be true or false")
         quota = float(cfg.get("quota", 1.0))
         override = cfg.get("threshold_override")
         threshold = None if override is None else float(override)
@@ -535,12 +540,10 @@ def run_classify(config: dict, seed: int, out: Path) -> str:
     region = RiskRegion(dist, cone, beta)
     lines = [f"threshold q_beta = {region.threshold:.8g}"]
     for y in pts:
-        if not np.all(np.isfinite(y)):
-            raise ConfigError("membership test needs a finite point")
         t0 = time.perf_counter()
         norm = region.projection_norm(y)  # one projection gives the verdict and the printed norm
         dt = time.perf_counter() - t0
-        flag = norm >= region.threshold - BOUNDARY_TOL  # the test is_risk makes
+        flag = norm >= region.cutoff  # the test is_risk makes
         lines.append(f"point {np.array2string(y, precision=8)} -> "
                      f"{'risk' if flag else 'non-risk'} "
                      f"(|w|={norm:.8g}, {dt * 1e3:.2f} ms)")

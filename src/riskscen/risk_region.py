@@ -37,12 +37,13 @@ _DOMINANCE_BLOCK = 1 << 16  # point-entry pairs screened at once
 class RiskRegion:
     """Elliptical risk region for a feasible-set conic hull at level beta.
 
-    `image_cone`, computed from the other fields, is the image P K of the
-    cone under the distribution's factor P. Each region also keeps the
-    archive of rays (and, for cones inside the orthant, non-risk points)
-    that classify_mask fills and reuses across calls, and the risk mask of
-    every atom of the last scenario set classify_draws met. Both are caches
-    and never change a verdict.
+    `image_cone` and `cutoff`, computed from the other fields, are the image
+    P K of the cone under the distribution's factor P and threshold -
+    BOUNDARY_TOL, the least ||p_{K'}(-z)|| of a risk point. Each region also
+    keeps the archive of rays (and, for cones inside the orthant, non-risk
+    points) that classify_mask fills and reuses across calls, and the risk
+    mask of every atom of the last scenario set classify_draws met. Both are
+    caches and never change a verdict.
     """
 
     dist: EllipticalDistribution
@@ -58,6 +59,7 @@ class RiskRegion:
         q = spherical_quantile(self.dist.family, self.beta, self.dist.nu)
         if self.threshold is None:
             object.__setattr__(self, "threshold", q)
+        object.__setattr__(self, "cutoff", self.threshold - BOUNDARY_TOL)
         object.__setattr__(self, "image_cone", transform(self.cone, self.dist.factor))
         object.__setattr__(self, "_projector", ConeProjector(self.image_cone))
         object.__setattr__(self, "_dominance", _cone_in_orthant(self.cone))
@@ -76,16 +78,16 @@ class RiskRegion:
         return np.linalg.solve(self.dist.factor.T, (Y - self.dist.mu).T).T
 
     def projection_norm(self, y) -> float:
-        """||p_{K'}(-z)||, the value compared against the threshold."""
-        z = self.spherical_coords(np.asarray(y, dtype=float)[None, :])[0]
+        """||p_{K'}(-z)|| of one finite point, the value compared against the cutoff."""
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ConfigError("membership test needs a finite point")
+        z = self.spherical_coords(y[None, :])[0]
         return float(np.linalg.norm(self._projector.project(-z)))
 
 
 def is_risk(region: RiskRegion, y) -> bool:
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ConfigError("membership test needs a finite point")
-    return region.projection_norm(y) >= region.threshold - BOUNDARY_TOL
+    return region.projection_norm(y) >= region.cutoff
 
 
 def _cone_in_orthant(cone: Cone) -> bool:
@@ -211,7 +213,7 @@ def classify_mask(region: RiskRegion, points, use_shortcuts: bool = True) -> np.
         return np.zeros(0, dtype=bool)
     if not np.all(np.isfinite(Y)):
         raise ConfigError("classification needs finite points")
-    cutoff = region.threshold - BOUNDARY_TOL
+    cutoff = region.cutoff
     V = -region.spherical_coords(Y)
     risk = np.zeros(n, dtype=bool)
     if not use_shortcuts:

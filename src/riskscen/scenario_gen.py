@@ -109,9 +109,7 @@ def aggregation_sampling(region: RiskRegion, sampler, n_risk_target: int, seed: 
     return AggSampleReport(scen, n_risk, n_nonrisk, total, int(seed), center_in_risk)
 
 
-def aggregation_reduction(region: RiskRegion, scenarios: ScenarioSet) -> ScenarioSet:
-    """Classify an existing set and collapse its non-risk scenarios."""
-    return aggregate(region, scenarios)
+aggregation_reduction = aggregate  # the paper's name for collapsing an existing set
 
 
 def expected_effective_sample_size(n: int, q: float) -> float:

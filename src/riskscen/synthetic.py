@@ -9,13 +9,11 @@ case-study problem.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import ScenarioSet, atomic_write, save_scenarios
+from .distributions import ScenarioSet, save_scenarios, write_csv
 from .seeding import rng_from
 
 
@@ -51,13 +49,7 @@ def synthetic_returns(d: int, months: int, seed: int, family: str = "normal",
 def write_synthetic_returns(path, d: int, months: int, seed: int,
                             family: str = "normal", nu: float = 4.0) -> Path:
     path = Path(path)
-    tickers, returns = synthetic_returns(d, months, seed, family, nu)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(tickers)
-    for row in returns:
-        writer.writerow([repr(float(v)) for v in row])
-    atomic_write(path, buf.getvalue())
+    write_csv(path, *synthetic_returns(d, months, seed, family, nu))
     return path
 
 

@@ -1,6 +1,7 @@
 """Cone construction, NNLS cone and polytope projection, and the conic-hull formula."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from riskscen.cones import (Cone, ConeProjector, FeasibleRegion, cone_member, co
 from riskscen.distributions import fit_from_returns
 from riskscen.errors import ConfigError, SolverError
 from riskscen.synthetic import synthetic_returns
-from shapes import SHAPES, sector_pair_region
+from shapes import SHAPES, SHAPES_D50, sector_pair_region
 
 
 def orthant(d, form="both"):
@@ -234,6 +235,20 @@ class TestBatchedProjector:
         assert np.abs(batched - oracle).max() < 1e-8
         single = np.array([projector.project(w) for w in W])
         assert np.abs(batched - single).max() < 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("shape", sorted(SHAPES_D50))
+    def test_stack_matches_oracle_at_d50(self, shape):
+        """The oracle comparison above at the paper's d = 50, 100 facets.
+        Budget 60 s; about 2 s on a 2-core host."""
+        t0 = time.perf_counter()
+        region = SHAPES_D50[shape]()
+        W = -region.spherical_coords(region.dist.draw(np.random.default_rng(3), 1000))
+        batched = ConeProjector(region.image_cone).project(W)
+        oracle = project_polyhedral_nnls_oracle(region.image_cone.facets, W)
+        assert np.abs(batched - oracle).max() < 1e-8
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"overran its 60 s budget: {elapsed:.1f}s"
 
     def test_nonfinite_row_in_stack_raises(self):
         W = np.ones((5, 3))

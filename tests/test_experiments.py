@@ -51,6 +51,7 @@ def test_public_api_is_pinned():
     assert sorted(riskscen.__all__) == PUBLIC_API
     missing = [name for name in PUBLIC_API if not hasattr(riskscen, name)]
     assert missing == []
+    assert riskscen.aggregation_reduction is riskscen.aggregate  # one function, two names
 
 
 def test_readme_quick_start_runs(capsys):
@@ -209,6 +210,41 @@ class TestStability:
                 assert gaps[(method, i + 1)] == pytest.approx(
                     cvar - optimum, abs=1e-9 * (1.0 + abs(cvar)))
 
+    @pytest.mark.parametrize("match_effective", [True, False])
+    def test_basic_sets_match_their_aggregation_run(self, tmp_path, monkeypatch,
+                                                     match_effective):
+        """Each basic-sampling set has as many points as its paired aggregation
+        run drew with match_effective, and as many as that run kept without."""
+        reports, basic_sets = [], []
+        aggregation_sampling, sample = experiments.aggregation_sampling, experiments.sample
+
+        def recording_aggregation(*args):
+            reports.append(aggregation_sampling(*args))
+            return reports[-1]
+
+        def recording_sample(*args):
+            basic_sets.append(sample(*args))
+            return basic_sets[-1]
+
+        monkeypatch.setattr(experiments, "aggregation_sampling", recording_aggregation)
+        monkeypatch.setattr(experiments, "sample", recording_sample)
+        config = {"family": "normal", "dimensions": [2], "trials": 1, "sets": 3,
+                  "n_risk_target": 20, "beta": 0.95, "match_effective": match_effective,
+                  "source": {"synthetic": {"months": 100}}}
+        run_stability(config, 5, tmp_path)
+        assert len(reports) == len(basic_sets) == 3
+        assert all(r.effective_sample_size > r.scenarios.n for r in reports)
+        for rep, scen in zip(reports, basic_sets):
+            assert scen.n == (rep.effective_sample_size if match_effective else rep.scenarios.n)
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_match_effective_must_be_a_boolean(self, tmp_path, value):
+        config = {"dimensions": [2], "sets": 2, "n_risk_target": 20, "match_effective": value,
+                  "source": {"synthetic": {"months": 100}}}
+        with pytest.raises(ConfigError, match="match_effective"):
+            run_stability(config, 1, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.slow
     def test_more_constrained_works_better_at_d20(self, tmp_path):
         """The abstract's claim that the method "works better as the feasible set
@@ -257,9 +293,8 @@ class TestCaseStudy:
             "source": {"synthetic_skewed": {"d": 5, "n": 400}},
             "max_assets": 2, "beta": 0.95,
             "modes": ["basic-sampling", "aggregation"],
-            "saa": {"n0": 30, "dn": 10, "replications": 2, "validation_n": 500,
-                    "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2,
-                    "prob_estimate_n": 300},
+            "saa": {"n0": 30, "dn": 10, "replications": 2,
+                    "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2},
         }
         paths = run_case_study(config, 31, tmp_path)
         names = sorted(p.name for p in paths)
@@ -282,9 +317,8 @@ class TestCaseStudy:
         config = {"source": {"scenario_csv": str(scen_path)},
                   "max_assets": 2, "beta": 0.95,
                   "modes": ["basic-sampling", "aggregation+ghost"],
-                  "saa": {"n0": 30, "dn": 10, "replications": 2, "validation_n": 500,
-                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2,
-                          "prob_estimate_n": 300}}
+                  "saa": {"n0": 30, "dn": 10, "replications": 2,
+                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2}}
         run_case_study(config, 31, tmp_path)
         _, _, box_rows = read_table(tmp_path / "case-boxplot.csv")
         _, _, summary_rows = read_table(tmp_path / "case-summary.csv")
@@ -309,9 +343,8 @@ class TestCaseStudy:
         config = {"source": {"synthetic_skewed": {"d": 30, "n": 3000}},
                   "max_assets": 8, "beta": 0.99,
                   "modes": ["basic-sampling", "aggregation", "aggregation+ghost"],
-                  "saa": {"n0": 200, "dn": 100, "replications": 10, "validation_n": 100_000,
-                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 4,
-                          "prob_estimate_n": 2000}}
+                  "saa": {"n0": 200, "dn": 100, "replications": 10,
+                          "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 4}}
         run_case_study(config, 90_900, tmp_path)
         _, _, box_rows = read_table(tmp_path / "case-boxplot.csv")
         med = {m: float(np.median([float(r[2]) for r in box_rows if r[0] == m]))
@@ -438,8 +471,7 @@ class TestCli:
 
     _CONE = {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]}
     _NORMAL_2D = {"mu": [0.0, 0.0], "factor": [[1.0, 0.0], [0.0, 1.0]]}
-    _TINY_SAA = {"n0": 20, "dn": 10, "replications": 2, "validation_n": 100,
-                 "max_iterations": 1, "prob_estimate_n": 100}
+    _TINY_SAA = {"n0": 20, "dn": 10, "replications": 2, "max_iterations": 1}
 
     # MISSING stands for a path that does not exist, SCENARIOS for a valid scenario file.
     @pytest.mark.parametrize("command, config", [
@@ -503,6 +535,8 @@ class TestCli:
                        "source": {"synthetic": {"months": 100}}}),
         ("reduction-error", {"dimensions": [2], "sizes": [20], "betas": [0.95], "sets": 0,
                              "source": {"synthetic": {"months": 100}}}),
+        ("prob-table", {"dimensions": [2], "trials": 1, "betas": [0.9], "n_points": 0,
+                        "source": {"synthetic": {"months": 100}}}),
     ], ids=["row-without-a", "bounds-wrong-length", "project-width", "classify-width",
             "missing-returns-csv", "missing-scenario-csv-stability",
             "missing-scenario-csv-case-study", "missing-points-csv", "unknown-family",
@@ -516,7 +550,7 @@ class TestCli:
             "project-misspelt-key", "classify-misspelt-key", "dimensions-with-scenario-csv",
             "synthetic-misspelt-key", "cone-misspelt-key", "region-row-misspelt-key",
             "distribution-misspelt-key", "case-study-no-modes", "case-study-no-iterations",
-            "stability-one-set", "reduction-error-no-sets"])
+            "stability-one-set", "reduction-error-no-sets", "prob-table-no-points"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, config):
         """Exit 2 with a config error before any output: the bad-second-mode
         case study must not run (and write) its first mode."""
@@ -560,9 +594,8 @@ class TestDeterminism:
         (run_case_study, {"source": {"synthetic_skewed": {"d": 5, "n": 400}},
                           "max_assets": 2, "beta": 0.95,
                           "modes": ["basic-sampling", "aggregation", "aggregation+ghost"],
-                          "saa": {"n0": 30, "dn": 10, "replications": 2, "validation_n": 500,
-                                  "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2,
-                                  "prob_estimate_n": 300}}),
+                          "saa": {"n0": 30, "dn": 10, "replications": 2,
+                                  "gap_tol": 0.0, "var_tol": 0.0, "max_iterations": 2}}),
     ], ids=["prob-table", "stability", "reduction-error", "case-study"])
     def test_jobs_do_not_change_bytes(self, tmp_path, run, config):
         a = tmp_path / "a"

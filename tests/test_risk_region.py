@@ -1,5 +1,7 @@
 """Risk-region membership against the directional oracle, plus aggregation."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from riskscen.distributions import (EllipticalDistribution, EmpiricalDistributio
 from riskscen.errors import ConfigError
 from riskscen.risk_region import (RiskRegion, aggregate, classify_batch, classify_mask,
                                   estimate_nonrisk_prob, is_risk)
-from shapes import SHAPES, ghost_box_region, quota_region, sector_pair_region
+from shapes import SHAPES, SHAPES_D50, ghost_box_region, quota_region, sector_pair_region
 
 
 def standard_region(beta=0.95, d=2, family="normal", nu=None):
@@ -97,6 +99,19 @@ class TestDominanceArchive:
                                   for s in range(0, Y.shape[0], 512)])
         assert np.array_equal(chunked, exact)
         assert np.array_equal(classify_mask(warm, Y), exact)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("shape", sorted(SHAPES_D50))
+    def test_shortcuts_keep_the_exact_mask_at_d50(self, shape):
+        """The cold-region check above at the paper's d = 50.
+        Budget 60 s; about 6 s on a 2-core host."""
+        t0 = time.perf_counter()
+        Y = SHAPES_D50[shape]().dist.draw(np.random.default_rng(1), 3000)
+        exact = classify_mask(SHAPES_D50[shape](), Y, use_shortcuts=False)
+        assert 0 < exact.sum() < exact.size
+        assert np.array_equal(classify_mask(SHAPES_D50[shape](), Y), exact)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"overran its 60 s budget: {elapsed:.1f}s"
 
     def test_full_archive_stops_growing_and_stays_exact(self, monkeypatch):
         monkeypatch.setattr(risk_region, "_ARCHIVE_CAP", 40)
