@@ -1,11 +1,13 @@
 """Scenario-based CVaR portfolio optimization.
 
-One solver, Kelley's cutting-plane method, minimizes every CVaR objective:
-discrete CVaR over a scenario set, and the exact CVaR for elliptical returns
-(the loss is ||P x|| X_1 - x'mu, so the true CVaR is c ||P x|| - mu'x with c
-the spherical beta-CVaR). A best-first branch-and-bound for
-cardinality-restricted supports runs the same method in every node. Discrete
-CVaR uses exact atom splitting at the beta-quantile.
+One solver, Kelley's cutting-plane method, minimizes every CVaR objective.
+Each source has one risk oracle (_risk): discrete CVaR over the weighted
+atoms of a scenario set, with exact atom splitting at the beta-quantile, and
+the exact CVaR for elliptical returns (the loss is ||P x|| X_1 - x'mu, so the
+true CVaR is c ||P x|| - mu'x with c the spherical beta-CVaR). One engine
+(_solve) takes any oracle: one master for a continuous problem, and a
+best-first branch-and-bound that runs the same method in every node under a
+support limit.
 
 The cutting-plane master LP lives on [x, t] only: the region rows, the
 budget, the box, the P1 return floor and the cuts t >= h'x, and its cost is
@@ -44,7 +46,7 @@ GAP_TOL = 1e-9  # certified relative gap: best - bound <= GAP_TOL * (1 + |best|)
 # rounding floor, and solves end at the cut cap.
 _EXACT_GAP_TOL = 1e-12
 _CUTS_PER_DIM = 100  # cap on new cuts in one certification: _CUTS_PER_DIM * (d + 1)
-_NODE_LIMIT = 100_000  # branch-and-bound masters certified per solve_cardinality call
+_NODE_LIMIT = 100_000  # branch-and-bound masters certified per _solve call
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,6 @@ def discrete_cvar(scenarios: ScenarioSet, x, beta: float) -> float:
     return _loss_tail(scenarios, x, beta)[2]
 
 
-def _source_tail(source, x, beta: float) -> tuple[float, float]:
-    """Exact (VaR, CVaR) of the loss -x'Y: the closed form if elliptical, the atoms if empirical."""
-    if isinstance(source, EllipticalDistribution):
-        return portfolio_loss_stats(source, x, beta)[:2]
-    if isinstance(source, EmpiricalDistribution):
-        return _loss_tail(source.scenarios, x, beta)[1:]
-    raise ConfigError("exact CVaR needs an elliptical or empirical distribution source")
-
-
 def evaluate_objective(problem: PortfolioProblem, scenarios: ScenarioSet, x) -> float:
     """The problem objective at x, with CVaR taken from the scenario set."""
     return problem.objective(discrete_cvar(scenarios, x, problem.beta),
@@ -222,24 +215,27 @@ class _Node:
         return replace(self.best, lp_objective=self.bound, **extra)
 
 
-def _scenario_risk(scenarios: ScenarioSet, beta: float):
-    """Risk oracle of discrete CVaR: x -> (CVaR at x, the call that returns a subgradient)."""
+def _risk(source, beta: float):
+    """Exact risk oracle of the loss -x'Y: x -> (VaR, CVaR, the call that returns a CVaR subgradient).
 
-    def risk(x):
-        losses, var, cvar = _loss_tail(scenarios, x, beta)
-        return cvar, lambda: _tail_subgradient(scenarios, losses, var, beta)
-    return risk
+    Elliptical: portfolio_loss_stats, gradient c P'P x / ||P x|| - mu. Empirical: the weighted atoms.
+    """
+    if isinstance(source, EllipticalDistribution):
+        P, mu, c = source.factor, source.mu, source.tail_cvar(beta)
 
+        def elliptical(x):
+            var, cvar, _ = portfolio_loss_stats(source, x, beta)
+            u = P @ x
+            return var, cvar, lambda: c * (P.T @ u) / float(np.linalg.norm(u)) - mu
+        return elliptical
+    if isinstance(source, EmpiricalDistribution):
+        scenarios = source.scenarios
 
-def _elliptical_risk(dist: EllipticalDistribution, beta: float):
-    """Risk oracle of the exact elliptical CVaR c ||P x|| - mu'x, gradient c P'P x / ||P x|| - mu."""
-    P, mu, c = dist.factor, dist.mu, dist.tail_cvar(beta)
-
-    def risk(x):
-        u = P @ x
-        norm = float(np.linalg.norm(u))
-        return c * norm - float(x @ mu), lambda: c * (P.T @ u) / norm - mu
-    return risk
+        def empirical(x):
+            losses, var, cvar = _loss_tail(scenarios, x, beta)
+            return var, cvar, lambda: _tail_subgradient(scenarios, losses, var, beta)
+        return empirical
+    raise ConfigError("exact CVaR needs an elliptical or empirical distribution source")
 
 
 class _CuttingPlane:
@@ -248,13 +244,14 @@ class _CuttingPlane:
     The master minimizes t subject to the cuts t >= h'x, h = weight * g + lin
     for a risk subgradient g (lin is P3's return term, zero for P1), so t is
     the objective with CVaR replaced by its cutting-plane model and the bound
-    is a lower bound on the objective. `risk` maps x to its CVaR and the call
-    that returns a subgradient there; the CVaR must be convex and positively
-    homogeneous, so every cut has no intercept. Each master holds the cuts
-    taken at its own points and at those of the masters it was copied from.
+    is a lower bound on the objective. `risk` is a _risk oracle; the CVaR
+    must be convex and positively homogeneous, so every cut has no
+    intercept. Each master holds the cuts taken at its own points and at
+    those of the masters it was copied from. The master never reads the
+    problem's support limit; _solve branches on it.
     """
 
-    def __init__(self, problem: PortfolioProblem, risk, gap: float = GAP_TOL):
+    def __init__(self, problem: PortfolioProblem, risk, gap: float):
         d = problem.d
         self.problem, self.risk, self.gap = problem, risk, gap
         self.weight = problem.weight
@@ -276,7 +273,7 @@ class _CuttingPlane:
         """
         problem, region = self.problem, self.problem.region
         d = region.d
-        first = self.cut(self.risk(np.full(d, region.capital / d))[1]())
+        first = self.cut(self.risk(np.full(d, region.capital / d))[2]())
         rows, rhs = [region.A], [region.b]
         if problem.mode == P1:
             rows.append([-problem.mu])
@@ -305,7 +302,7 @@ class _CuttingPlane:
         best, new = None, 0
         while res.status == "optimal":
             x, bound = res.x[:problem.d], res.objective
-            cvar, subgradient = self.risk(x)
+            _, cvar, subgradient = self.risk(x)
             point = _solution(problem, x, cvar)
             if best is None or point.objective < best.objective:
                 best = point
@@ -318,92 +315,37 @@ class _CuttingPlane:
         return _Node(_failed(res.status))
 
 
-def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
-    """Cutting-plane solve of the continuous scenario problem.
+def _solve(problem: PortfolioProblem, risk, gap: float, **extra) -> Solution:
+    """Minimize the objective with CVaR from the oracle `risk`, to a certified relative `gap`.
 
-    Returns the best master point; its reported CVaR is discrete_cvar there,
-    and `lp_objective` is the master bound, a lower bound within GAP_TOL of
-    the objective.
+    A continuous problem is one cutting-plane master. Under a support limit
+    it is a best-first branch-and-bound: nodes fix assets in (z=1) or out
+    (z=0); the relaxation keeps fractional z implicitly through
+    sum(x_j / cap_j) <= slots over the free assets. Branches on the most
+    fractional ratio. The support-size constraint is implemented as <=; with
+    x_i <= u_i z_i and free z this has the same optimal value as equality. A
+    child is its parent's certified master plus one row: x_j <= 0 for z0,
+    its own slot row for z1 (the parent's stays, implied by it); a slot row
+    with no fewer slots than free assets is redundant but valid. The node
+    bound is the certified master bound, and a node's master holds only its
+    own cuts and its ancestors', so its result does not depend on the order
+    in which other nodes ran. The first incumbent comes from the first node
+    popped whose support fits the limit. `extra` goes to the returned
+    Solution.
     """
-    if problem.cardinality is not None:
-        raise ConfigError("use solve_cardinality for problems with a support limit")
-    if scenarios.n == 0:
-        raise ConfigError("scenario set is empty")
-    node = _CuttingPlane(problem, _scenario_risk(scenarios, problem.beta)).root(
-        problem.region.upper)
-    return node.solution(scenario_count=scenarios.n)
-
-
-# ---------------------------------------------------------------------------
-# exact solver for elliptical returns
-
-
-def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:
-    """Minimize the exact CVaR objective for elliptical returns.
-
-    The CVaR of the loss -x'y is c ||P x|| - mu'x, with c the spherical
-    beta-CVaR and mu the mean of dist (problem.mu must equal it); the
-    cutting-plane method minimizes it to a certified relative gap of 1e-12,
-    and `lp_objective` is the master bound, a lower bound on the objective.
-    A master that cannot certify raises SolverError.
-    """
-    if problem.cardinality is not None:
-        raise ConfigError("exact elliptical solver handles continuous problems only")
-    if not np.array_equal(problem.mu, dist.mu):
-        raise ConfigError("the problem's mean is not the distribution's")
-    risk = _elliptical_risk(dist, problem.beta)
-    node = _CuttingPlane(problem, risk, _EXACT_GAP_TOL).root(problem.region.upper)
-    if node.best.status != "optimal":
-        raise SolverError(f"exact elliptical master ended {node.best.status}")
-    return node.solution()
-
-
-# ---------------------------------------------------------------------------
-# branch and bound on the support
-
-
-def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
-    """Best-first branch-and-bound for the support-limited problem.
-
-    Nodes fix assets in (z=0) or out (z=1); the relaxation keeps fractional
-    z implicitly through sum(x_j / cap_j) <= slots over the free assets.
-    Branches on the most fractional ratio. The support-size constraint is
-    implemented as <=; with x_i <= u_i z_i and free z this has the same
-    optimal value as equality. A child is its parent's certified master plus
-    one row: x_j <= 0 for z0, its own slot row for z1 (the parent's stays,
-    implied by it); a slot row with no fewer slots than free assets is
-    redundant but valid. The node bound is the certified master bound, and
-    a node's master holds only its own cuts and its ancestors', so its
-    result does not depend on the order in which other nodes ran. The first
-    incumbent comes from the first node popped whose support fits the limit.
-    """
+    region = problem.region
+    cutting = _CuttingPlane(problem, risk, gap)
     card = problem.cardinality
     if card is None:
-        raise ConfigError("problem has no cardinality constraint")
-    region = problem.region
+        return cutting.root(region.upper).solution(**extra)
     d, l = region.d, card.max_assets
     caps = np.minimum(card.caps, region.upper)
     if np.sort(caps)[::-1][:l].sum() < region.capital - 1e-12:
         return _failed("infeasible")
 
-    cutting = _CuttingPlane(replace(problem, cardinality=None),
-                           _scenario_risk(scenarios, problem.beta))
-
     def slot_row(z0: frozenset, z1: frozenset):
-        coeffs = np.zeros(d)
-        for j in range(d):
-            if j not in z0 and j not in z1 and caps[j] > 1e-12:
-                coeffs[j] = 1.0 / caps[j]
-        return coeffs, float(l - len(z1))
-
-    def support_of(x):
-        return frozenset(int(j) for j in np.flatnonzero(x > 1e-9))
-
-    def z_vector(chosen: frozenset):
-        z = np.zeros(d, dtype=int)
-        for j in chosen:
-            z[j] = 1
-        return z
+        free = ~np.isin(np.arange(d), list(z0 | z1)) & (caps > 1e-12)
+        return np.divide(1.0, caps, out=np.zeros(d), where=free), float(l - len(z1))
 
     incumbent_val = np.inf
     incumbent: Solution | None = None
@@ -422,12 +364,13 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
         if bound >= incumbent_val - 1e-9:
             break
         x = node.best.x
-        sup = support_of(x)
+        sup = frozenset(np.flatnonzero(x > 1e-9).tolist())
         chosen = z1 | sup
         if len(chosen) <= l:
             if node.best.objective < incumbent_val:
                 incumbent_val = node.best.objective
-                incumbent = node.solution(z=z_vector(chosen), scenario_count=scenarios.n)
+                incumbent = node.solution(z=np.isin(np.arange(d), list(chosen)).astype(int),
+                                          **extra)
             continue
         free = [j for j in sup if j not in z1]
         ratios = np.array([min(x[j] / caps[j], 1.0) for j in free])
@@ -450,3 +393,46 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     if incumbent is None:
         return _failed("infeasible")
     return incumbent
+
+
+def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
+    """Cutting-plane solve of the continuous scenario problem.
+
+    Returns the best master point; its reported CVaR is discrete_cvar there,
+    and `lp_objective` is the master bound, a lower bound within GAP_TOL of
+    the objective.
+    """
+    if problem.cardinality is not None:
+        raise ConfigError("use solve_cardinality for problems with a support limit")
+    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL,
+                  scenario_count=scenarios.n)
+
+
+def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
+    """Branch-and-bound solve of the support-limited scenario problem (see _solve).
+
+    Each node's master is certified to GAP_TOL, and `z` marks the support
+    of the returned point.
+    """
+    if problem.cardinality is None:
+        raise ConfigError("problem has no cardinality constraint")
+    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL,
+                  scenario_count=scenarios.n)
+
+
+def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:
+    """Minimize the exact CVaR objective for elliptical returns.
+
+    The CVaR of the loss -x'y is c ||P x|| - mu'x, with c the spherical
+    beta-CVaR and mu the mean of dist (problem.mu must equal it); the
+    cutting-plane method minimizes it to a certified relative gap of 1e-12,
+    and `lp_objective` is the master bound, a lower bound on the objective.
+    A support limit runs _solve's branch-and-bound on the same oracle. A
+    solve that ends without a certified optimum raises SolverError.
+    """
+    if not np.array_equal(problem.mu, dist.mu):
+        raise ConfigError("the problem's mean is not the distribution's")
+    sol = _solve(problem, _risk(dist, problem.beta), _EXACT_GAP_TOL)
+    if sol.status != "optimal":
+        raise SolverError(f"exact elliptical solve ended {sol.status}")
+    return sol

@@ -320,7 +320,10 @@ def portfolio_loss_stats(dist: EllipticalDistribution, x, beta: float):
 
     The loss is ||P x|| X_1 - x'mu in distribution, so both tail measures are
     the spherical ones scaled by ||P x|| and shifted by the expected return.
-    This is the exact-objective oracle used for optimality gaps.
+    It is the one owner of this closed form. Its caller is cvar_opt._risk,
+    the elliptical risk oracle of the exact solver (solve_exact_elliptical),
+    of SAA's final pick (saa._screen_candidates) and of the stability
+    experiment's true gaps (experiments._stability_cell).
     """
     x = np.asarray(x, dtype=float)
     scale = float(np.linalg.norm(dist.factor @ x))

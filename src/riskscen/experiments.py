@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .cones import Cone, ConeProjector, FeasibleRegion, conic_hull
-from .cvar_opt import (P1, Cardinality, PortfolioProblem, _source_tail, discrete_cvar,
+from .cvar_opt import (P1, Cardinality, PortfolioProblem, _risk, discrete_cvar,
                        solve_exact_elliptical, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                             atomic_write, fit_from_returns, load_returns_csv, load_scenarios,
@@ -149,7 +149,8 @@ def _grid(cell, jobs: int, *axes) -> dict:
     keys = list(product(*axes))
     if jobs <= 1 or len(keys) <= 1:
         return {key: cell(*key) for key in keys}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all max_workers at its first submit, so it gets one per cell at most
+    with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
         return dict(zip(keys, pool.map(cell, *zip(*keys))))
 
 
@@ -318,8 +319,10 @@ def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effecti
         problem = PortfolioProblem(region, beta, mu=region_dist.mu, mode=P1)
         truth = solve_exact_elliptical(problem, region_dist)
 
+    risk = _risk(sampler, beta)
+
     def true_gap(x):
-        return _source_tail(sampler, x, beta)[1] - truth.cvar
+        return risk(x)[1] - truth.cvar
 
     rr = RiskRegion(region_dist, conic_hull(region), beta, threshold=threshold)
 
@@ -456,10 +459,11 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
         prob_rows.append(prow)
     box_rows = []
     summary_rows = []
+    risk = _risk(source, beta)
     for mode in modes:
         best, history = results[mode]
         final = history[-1]
-        oos = [_source_tail(source, x, beta)[1] for x in final.solutions]
+        oos = [risk(x)[1] for x in final.solutions]
         box_rows.extend([[mode, m + 1, v] for m, v in enumerate(oos)])
         summary_rows.append([mode, float(np.median(oos)), float(np.min(oos)),
                              best.cvar, len(history), final.n])
@@ -508,10 +512,11 @@ def run_project(config: dict, seed: int, out: Path) -> str:
     with _reading("project config", config) as cfg:
         cone = _cone_from(cfg)
         pts = _points_from(cfg, cone.d)
+    projector = ConeProjector(cone)
     lines = []
     for y in pts:
         t0 = time.perf_counter()
-        p = ConeProjector(cone).project(y)
+        p = projector.project(y)
         dt = time.perf_counter() - t0
         lines.append(f"point {np.array2string(y, precision=8)} -> projection "
                      f"{np.array2string(p, precision=8)} |p|={np.linalg.norm(p):.8g} "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (PortfolioProblem, _solution, _source_tail, evaluate_objective,
+from .cvar_opt import (PortfolioProblem, _risk, _solution, evaluate_objective,
                        solve_cardinality, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, atomic_write,
                             fit_from_returns, normal_quantile, sample)
@@ -239,7 +239,8 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
 
 def _screen_candidates(problem, source, seed, history):
     """The candidate of lowest exact CVaR under `source`, ties by lower exact VaR."""
-    tails = [(_source_tail(source, x, problem.beta)[::-1], x, z)  # ((CVaR, VaR), x, z)
+    risk = _risk(source, problem.beta)
+    tails = [(risk(x)[1::-1], x, z)  # ((CVaR, VaR), x, z)
              for state in history for x, z in zip(state.solutions, state.supports)]
     (cvar, _), x, z = min(tails, key=lambda t: t[0])
     count = source.scenarios.n if isinstance(source, EmpiricalDistribution) else None

@@ -361,6 +361,21 @@ class TestAdHocCommands:
         out = run_project(config, 1, tmp_path)
         assert "projection" in out and "[0." in out
 
+    def test_project_builds_one_projector(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(ConeProjector):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ConeProjector", Counted)
+        config = {"cone": {"d": 2, "facets": [[1.0, 0.0], [0.0, 1.0]]},
+                  "points": [[-1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]}
+        out = run_project(config, 1, tmp_path)
+        assert len(out.splitlines()) == 3
+        assert len(built) == 1
+
     def test_classify_echo(self, tmp_path, monkeypatch):
         calls = []
         project = ConeProjector.project
@@ -606,6 +621,33 @@ class TestDeterminism:
         assert [x.name for x in pa] == [y.name for y in pb]
         for x, y in zip(pa, pb):
             assert x.read_bytes() == y.read_bytes()
+
+    def test_pool_starts_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # the pool starts every worker at its first submit; a serial stand-in
+        # records the size asked for and starts no process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        config = {"family": "normal", "dimensions": [2, 3], "betas": [0.95], "quotas": [1.0],
+                  "trials": 2, "n_points": 50, "source": {"synthetic": {"months": 100}}}
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        pooled = run_prob_table(config, 43, tmp_path / "a", jobs=5000)
+        serial = run_prob_table(config, 43, tmp_path / "b", jobs=1)
+        assert asked == [4]  # 2 dimensions x 2 trials
+        assert [x.read_bytes() for x in pooled] == [y.read_bytes() for y in serial]
 
     def test_reduction_error_reruns_byte_identical(self, tmp_path):
         config = {"family": "normal", "dimensions": [2], "trials": 1,
