@@ -128,12 +128,13 @@ def _reading(what: str, config: dict):
         raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unread))}")
 
 
-def write_table(path: Path, prov: dict, columns: list[str], rows: list[list]) -> None:
-    lines = [f"# {key.replace('_', '-')}: {value}" for key, value in prov.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_tables(out: Path, prov: dict, tables) -> list[Path]:
+    """Write each (file name, columns, rows) under `out` after the provenance; paths in order."""
+    head = [f"# {key.replace('_', '-')}: {value}" for key, value in prov.items()]
+    for name, columns, rows in tables:
+        lines = head + [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+        atomic_write(out / name, "\n".join(lines) + "\n")
+    return [out / name for name, _, _ in tables]
 
 
 def _fmt(v) -> str:
@@ -152,6 +153,23 @@ def _grid(cell, jobs: int, *axes) -> dict:
     # the pool forks all max_workers at its first submit, so it gets one per cell at most
     with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
         return dict(zip(keys, pool.map(cell, *zip(*keys))))
+
+
+def _trial_tables(cell, jobs: int, dims: list[int], trials: int, quotas: list[float], tag: str,
+                  tables: list[tuple[str, list[str]]]) -> list[tuple[str, list[str], list]]:
+    """The (file name, columns, rows) of every table of a (dimension, trial) grid.
+
+    Every (dimension, quota) pair is checked before any cell runs. A cell
+    returns one list of rows per entry (name, columns) of `tables`. Each
+    table gets one file `<name>-<tag>_<d>.csv` per dimension, its rows in
+    trial order; files come dimension by dimension, tables in order.
+    """
+    for d, q in product(dims, quotas):
+        _quota_region(d, q)
+    results = _grid(cell, jobs, dims, range(trials))
+    return [(f"{name}-{tag}_{d}.csv", columns,
+             [row for t in range(trials) for row in results[(d, t)][k]])
+            for d in dims for k, (name, columns) in enumerate(tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +229,10 @@ def run_prob_table(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
         fam = _FAMILY_TAG[family]
         nu = float(cfg.get("nu", 4.0))
         load_universe = _universe_loader(cfg.get("source", {"synthetic": {}}), dims, seed)
-    for d in dims:
-        for q in quotas:
-            _quota_region(d, q)  # validate feasibility up front
-    prov = provenance(config, seed)
     cell = partial(_prob_cell, load_universe(), family, nu, seed, betas, quotas, n_points)
-    results = _grid(cell, jobs, dims, range(trials))
-
-    paths = []
-    for d in dims:
-        columns = ["trial"] + [f"q{q:g}_b{b:g}" for q in quotas for b in betas]
-        rows = [[t + 1] + results[(d, t)] for t in range(trials)]
-        path = out / f"prob-table-{fam}_{d}.csv"
-        write_table(path, prov, columns, rows)
-        paths.append(path)
-    return paths
+    columns = ["trial"] + [f"q{q:g}_b{b:g}" for q in quotas for b in betas]
+    tables = _trial_tables(cell, jobs, dims, trials, quotas, fam, [("prob-table", columns)])
+    return write_tables(out, provenance(config, seed), tables)
 
 
 def _prob_cell(universe, family, nu, seed, betas, quotas, n_points, d, trial):
@@ -237,7 +244,7 @@ def _prob_cell(universe, family, nu, seed, betas, quotas, n_points, d, trial):
         for b in betas:
             mask = classify_mask(RiskRegion(dist, cone, b), pts)
             values.append(float((~mask).sum() / n_points))
-    return values
+    return [[trial + 1] + values],
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +288,17 @@ def run_stability(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pat
         dims, trials, fam = [source.d], 1, "empirical"
     else:
         source = load_universe()
-    prov = provenance(config, seed)
     cell = partial(_stability_cell, source, family, nu, seed, beta, target, nsets,
                    match_effective, quota, threshold)
-    results = _grid(cell, jobs, dims, range(trials))
-
-    paths = []
-    for d in dims:
-        columns = ["trial", "mean_sampling", "sd_sampling", "mean_aggregation", "sd_aggregation"]
-        rows, gap_rows = [], []
-        for t in range(trials):
-            basic, agg = results[(d, t)]
-            rows.append([t + 1, float(np.mean(basic)), float(np.std(basic, ddof=1)),
-                         float(np.mean(agg)), float(np.std(agg, ddof=1))])
-            gap_rows.extend([[t + 1, i + 1, "sampling", g] for i, g in enumerate(basic)])
-            gap_rows.extend([[t + 1, i + 1, "aggregation", g] for i, g in enumerate(agg)])
-        path = out / f"stability-{fam}_{d}.csv"
-        write_table(path, prov, columns, rows)
-        plot = out / f"stability-gaps-{fam}_{d}.csv"
-        write_table(plot, prov, ["trial", "set", "method", "gap"], gap_rows)
-        paths.extend([path, plot])
-    return paths
+    summary = ["trial", "mean_sampling", "sd_sampling", "mean_aggregation", "sd_aggregation"]
+    tables = _trial_tables(cell, jobs, dims, trials, [quota], fam, [
+        ("stability", summary), ("stability-gaps", ["trial", "set", "method", "gap"])])
+    return write_tables(out, provenance(config, seed), tables)
 
 
 def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effective, quota,
                     threshold, d, trial):
-    """Both methods' true gaps; `source` is the return universe or an empirical ScenarioSet."""
+    """Summary and gap rows of one trial; `source` is the universe or an empirical ScenarioSet."""
     region = _quota_region(d, quota)
     if isinstance(source, ScenarioSet):
         # an empirical source is its weighted atoms: resample them, grade exactly over them
@@ -335,7 +327,11 @@ def _stability_cell(source, family, nu, seed, beta, target, nsets, match_effecti
         scen_b = sample(sampler, n_match, child_seed(seed, _T_STAB, trial, d, i, 1))
         sol_b = solve_lp(problem, scen_b)
         basic_gaps.append(true_gap(sol_b.x))
-    return basic_gaps, agg_gaps
+    summary = [trial + 1, float(np.mean(basic_gaps)), float(np.std(basic_gaps, ddof=1)),
+               float(np.mean(agg_gaps)), float(np.std(agg_gaps, ddof=1))]
+    return [summary], [[trial + 1, i + 1, method, g]
+                       for method, gaps in (("sampling", basic_gaps), ("aggregation", agg_gaps))
+                       for i, g in enumerate(gaps)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +353,11 @@ def run_reduction_error(config: dict, seed: int, out: Path, jobs: int = 1) -> li
         fam = _FAMILY_TAG[family]
         nu = float(cfg.get("nu", 4.0))
         load_universe = _universe_loader(cfg.get("source", {"synthetic": {}}), dims, seed)
-    prov = provenance(config, seed)
     cell = partial(_reduction_cell, load_universe(), family, nu, seed, ns, betas, nsets, quota)
-    results = _grid(cell, jobs, dims, range(trials))
-
-    paths = []
-    for d in dims:
-        columns = ["trial"] + [f"n{n}_b{b:g}" for n in ns for b in betas]
-        err_rows, prop_rows = [], []
-        for t in range(trials):
-            errors, props = results[(d, t)]
-            err_rows.append([t + 1] + errors)
-            prop_rows.append([t + 1] + props)
-        p1 = out / f"reduction-error-{fam}_{d}.csv"
-        p2 = out / f"reduction-proportion-{fam}_{d}.csv"
-        write_table(p1, prov, columns, err_rows)
-        write_table(p2, prov, columns, prop_rows)
-        paths.extend([p1, p2])
-    return paths
+    columns = ["trial"] + [f"n{n}_b{b:g}" for n in ns for b in betas]
+    tables = _trial_tables(cell, jobs, dims, trials, [quota], fam,
+                           [("reduction-error", columns), ("reduction-proportion", columns)])
+    return write_tables(out, provenance(config, seed), tables)
 
 
 def _reduction_cell(universe, family, nu, seed, ns, betas, nsets, quota, d, trial):
@@ -396,7 +379,7 @@ def _reduction_cell(universe, family, nu, seed, ns, betas, nsets, quota, d, tria
                 props.append(removed / scen.n)
             mean_errors.append(float(np.mean(errs)))
             mean_props.append(float(np.mean(props)))
-    return mean_errors, mean_props
+    return [[trial + 1] + mean_errors], [[trial + 1] + mean_props]
 
 
 # ---------------------------------------------------------------------------
@@ -457,30 +440,23 @@ def run_case_study(config: dict, seed: int, out: Path, jobs: int = 1) -> list[Pa
             prow.append("" if state is None or state.nonrisk_prob is None else state.nonrisk_prob)
         gap_rows.append(row)
         prob_rows.append(prow)
-    box_rows = []
-    summary_rows = []
+    box_rows, summary_rows = [], []
     risk = _risk(source, beta)
     for mode in modes:
         best, history = results[mode]
-        final = history[-1]
-        oos = [risk(x)[1] for x in final.solutions]
+        oos = [risk(x)[1] for x in history[-1].solutions]
         box_rows.extend([[mode, m + 1, v] for m, v in enumerate(oos)])
         summary_rows.append([mode, float(np.median(oos)), float(np.min(oos)),
-                             best.cvar, len(history), final.n])
+                             best.cvar, len(history), history[-1].n])
 
-    paths = []
-    for name, cols, rows in (
+    return write_tables(out, prov, [
         ("case-gap.csv", ["iteration"] + [f"gap_{m}" for m in modes], gap_rows),
         ("case-prob.csv", ["iteration"] + [f"prob_{m}" for m in modes], prob_rows),
         ("case-boxplot.csv", ["mode", "replication", "oos_cvar"], box_rows),
         ("case-summary.csv",
          ["mode", "median_final_oos", "best_final_oos", "screened_oos", "iterations", "final_n"],
          summary_rows),
-    ):
-        path = out / name
-        write_table(path, prov, cols, rows)
-        paths.append(path)
-    return paths
+    ])
 
 
 # ---------------------------------------------------------------------------

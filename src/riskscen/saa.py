@@ -48,7 +48,7 @@ class SaaConfig:
     replications: int = 10
     alpha_gap: float = 0.95
     alpha_ghost: float = 0.99
-    validation_n: int = 100_000  # accepted and unread (the pick is exact); goes with ROADMAP item 1
+    validation_n: int = 100_000  # unread since the pick is exact; goes with ROADMAP item 3, step 0
     gap_tol: float = 1e-4
     var_tol: float = 1e-4
     max_iterations: int = 8

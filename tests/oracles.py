@@ -4,8 +4,8 @@ Nothing here may call the solver paths it checks: projections come from
 active-set enumeration or scipy's NNLS, risk membership from dense
 directional grids, tail functions from scipy quadrature/bisection, LP optima
 from grid search with a Nelder-Mead polish or from the full
-Rockafellar-Uryasev LP solved sparse by HiGHS, and exact elliptical optima
-from multi-start SLSQP.
+Rockafellar-Uryasev LP solved sparse by HiGHS (a MILP under a support
+limit), and exact elliptical optima from multi-start SLSQP.
 """
 
 from __future__ import annotations
@@ -276,12 +276,15 @@ def simplex_cvar_oracle(points: np.ndarray, probs: np.ndarray, beta: float,
 
 
 def ru_lp_oracle(points, probs, beta, lower, upper, mu, tau=None, lam=1.0,
-                 capital=1.0) -> float | None:
+                 capital=1.0, max_assets=None) -> float | None:
     """Optimum of the Rockafellar-Uryasev LP by scipy's HiGHS, or None if infeasible.
 
     min lam*CVaR - (1-lam)*mu'x over {1'x = capital, lower <= x <= upper}
     and, with tau given, mu'x >= tau; columns [x (d), alpha, u (n)] with
-    u_s >= -y_s'x - alpha. Tolerances are tightened to 1e-10.
+    u_s >= -y_s'x - alpha. Tolerances are tightened to 1e-10. With
+    max_assets given, binary columns z (d) join, with x <= upper * z and
+    sum(z) <= max_assets, and scipy's MILP solves the model to relative gap
+    1e-12.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
@@ -294,6 +297,8 @@ def ru_lp_oracle(points, probs, beta, lower, upper, mu, tau=None, lam=1.0,
                          format="csr")
         b_ub = np.append(b_ub, -tau)
     A_eq = sp.csr_matrix(np.concatenate([np.ones(d), np.zeros(n + 1)])[None, :])
+    if max_assets is not None:
+        return _ru_milp(c, A_ub, b_ub, A_eq, capital, lower, upper, max_assets)
     bounds = list(zip(lower, upper)) + [(None, None)] + [(0, None)] * n
     res = optimize.linprog(c, A_ub, b_ub, A_eq, [capital], bounds, method="highs",
                            options={"primal_feasibility_tolerance": 1e-10,
@@ -302,6 +307,30 @@ def ru_lp_oracle(points, probs, beta, lower, upper, mu, tau=None, lam=1.0,
         return None
     if res.status != 0:
         raise RuntimeError(f"HiGHS ended with status {res.status}: {res.message}")
+    return float(res.fun)
+
+
+def _ru_milp(c, A_ub, b_ub, A_eq, capital, lower, upper, max_assets) -> float | None:
+    """The model of ru_lp_oracle with a binary z_j per asset appended to the columns."""
+    d, m = len(upper), c.size
+    pad = sp.csr_matrix((A_ub.shape[0], d))
+    link = sp.hstack([sp.eye(d), sp.csr_matrix((d, m - d)), -sp.diags(np.asarray(upper, float))])
+    count = sp.csr_matrix(np.concatenate([np.zeros(m), np.ones(d)])[None, :])
+    rows = sp.vstack([sp.hstack([A_ub, pad]), link, count], format="csr")
+    constraints = [
+        optimize.LinearConstraint(rows, -np.inf, np.concatenate([b_ub, np.zeros(d), [max_assets]])),
+        optimize.LinearConstraint(sp.hstack([A_eq, sp.csr_matrix((1, d))]), capital, capital),
+    ]
+    n = m - d - 1
+    lo = np.concatenate([lower, [-np.inf], np.zeros(n), np.zeros(d)])
+    hi = np.concatenate([upper, [np.inf], np.full(n, np.inf), np.ones(d)])
+    res = optimize.milp(np.concatenate([c, np.zeros(d)]), constraints=constraints,
+                        integrality=np.concatenate([np.zeros(m), np.ones(d)]),
+                        bounds=optimize.Bounds(lo, hi), options={"mip_rel_gap": 1e-12})
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS MILP ended with status {res.status}: {res.message}")
     return float(res.fun)
 
 

@@ -287,6 +287,24 @@ class TestReductionError:
         assert np.all((0 <= props) & (props <= 1))
 
 
+@pytest.mark.parametrize("run, config", [
+    (run_stability, {"dimensions": [30, 10], "quota": 0.05, "sets": 2, "n_risk_target": 20}),
+    (run_reduction_error, {"dimensions": [30, 10], "quota": 0.05, "sizes": [40],
+                           "betas": [0.95], "sets": 1}),
+    (run_prob_table, {"dimensions": [30, 10], "quotas": [0.05], "betas": [0.95], "trials": 1,
+                      "n_points": 50}),
+], ids=["stability", "reduction-error", "prob-table"])
+def test_infeasible_quota_rejected_before_any_work(tmp_path, monkeypatch, run, config):
+    """A 0.05 quota reaches the budget at d = 30 but not at d = 10, so the
+    command must refuse before the d = 30 cell solves or classifies anything."""
+    for name in ("solve_exact_elliptical", "solve_lp", "classify_mask"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(ConfigError, match="quota"):
+        run(config, 1, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCaseStudy:
     def test_smoke_outputs(self, tmp_path):
         config = {

@@ -136,10 +136,11 @@ class TestDominanceArchive:
 
 
 class TestRayBounds:
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES) + [
+        pytest.param(name, marks=pytest.mark.slow) for name in sorted(SHAPES_D50)])
     def test_archived_rays_bound_fresh_projections(self, shape):
         """Rays archived by one call bound the projection norms of new draws."""
-        region = SHAPES[shape]()
+        region = {**SHAPES, **SHAPES_D50}[shape]()
         rng = np.random.default_rng(4)
         classify_mask(region, region.dist.draw(rng, 3000))
         facets = region.image_cone.facets
