@@ -47,6 +47,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:
         parser.error(f"argument --seed: expected an integer in [0, 2**64), got {args.seed}")
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: expected an integer >= 1, got {args.jobs}")
     try:
         cfg_path = Path(args.config)
         try:

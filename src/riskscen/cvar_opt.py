@@ -51,10 +51,9 @@ _NODE_LIMIT = 100_000  # branch-and-bound masters certified per _solve call
 
 @dataclass(frozen=True)
 class Cardinality:
-    """At most `max_assets` nonzero positions, each capped at `caps`."""
+    """At most `max_assets` nonzero positions, each within the region's own box."""
 
     max_assets: int
-    caps: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,9 @@ class PortfolioProblem:
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must lie in [0, 1]")
         if self.cardinality is not None:
-            card = self.cardinality
-            if card.max_assets < 1:
+            if self.cardinality.max_assets < 1:
                 raise ConfigError("cardinality limit must be >= 1")
-            caps = self.region.upper.copy() if card.caps is None else (
-                np.asarray(card.caps, dtype=float) + np.zeros(self.region.d))
-            object.__setattr__(self, "cardinality", Cardinality(int(card.max_assets), caps))
+            object.__setattr__(self, "cardinality", Cardinality(int(self.cardinality.max_assets)))
 
     @property
     def d(self) -> int:
@@ -113,8 +109,6 @@ class Solution:
     expected_return: float
     status: str  # optimal | infeasible | iteration-limit
     z: np.ndarray | None = None
-    seed: int | None = None
-    scenario_count: int | None = None
     lp_objective: float | None = None  # certified lower bound of the cutting-plane master, when one ran
 
 
@@ -184,10 +178,10 @@ def _tail_subgradient(scenarios: ScenarioSet, losses, var: float, beta: float) -
     return -(weights @ scenarios.points) / (1.0 - beta)
 
 
-def _solution(problem: PortfolioProblem, x, cvar: float, **extra) -> Solution:
-    """The optimal-status Solution at x, whose CVaR is `cvar`."""
+def _solution(problem: PortfolioProblem, x, cvar: float, z=None) -> Solution:
+    """The optimal-status Solution at x, whose CVaR is `cvar`, with support `z`."""
     ret = float(x @ problem.mu)
-    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", **extra)
+    return Solution(x, problem.objective(cvar, ret), cvar, ret, "optimal", z)
 
 
 def _failed(status: str) -> Solution:
@@ -208,11 +202,11 @@ class _Node:
     bound: float = -np.inf
     tableau: lp.Tableau | None = None
 
-    def solution(self, **extra) -> Solution:
-        """The best point with the bound as `lp_objective`; a failed node's Solution as is."""
+    def solution(self, z=None) -> Solution:
+        """The best point with support `z` and the bound as `lp_objective`; a failure as is."""
         if self.best.status != "optimal":
             return self.best
-        return replace(self.best, lp_objective=self.bound, **extra)
+        return replace(self.best, z=z, lp_objective=self.bound)
 
 
 def _risk(source, beta: float):
@@ -262,8 +256,8 @@ class _CuttingPlane:
         """The master row of the cut t >= (weight * g + lin)'x, right-hand side 0."""
         return _on_x(self.weight * g + self.lin, -1.0)
 
-    def root(self, upper, A=None, b=None) -> _Node:
-        """Certify the first master: box up to `upper`, extra rows A x <= b.
+    def root(self, A=None, b=None) -> _Node:
+        """Certify the first master: the region's rows and box, extra rows A x <= b.
 
         It is the one master solved from scratch by lp.solve, with a single
         cut h0 taken at the equal-weight portfolio (which need not be
@@ -284,7 +278,7 @@ class _CuttingPlane:
         res = lp.solve(np.eye(d + 1)[d], np.vstack([_on_x(np.vstack(rows)), first]),
                        np.append(np.concatenate(rhs), 0.0),
                        _on_x(np.ones(d)), [region.capital],
-                       list(zip(region.lower, upper))
+                       list(zip(region.lower, region.upper))
                        + [(region.capital * first[0, :d].min(), None)])
         return self.certify(res)
 
@@ -315,37 +309,40 @@ class _CuttingPlane:
         return _Node(_failed(res.status))
 
 
-def _solve(problem: PortfolioProblem, risk, gap: float, **extra) -> Solution:
+def _support_reaches_budget(region: FeasibleRegion, max_assets: int) -> bool:
+    """Whether the `max_assets` largest upper bounds can hold the budget."""
+    return bool(np.sort(region.upper)[::-1][:max_assets].sum() >= region.capital - 1e-12)
+
+
+def _solve(problem: PortfolioProblem, risk, gap: float) -> Solution:
     """Minimize the objective with CVaR from the oracle `risk`, to a certified relative `gap`.
 
     A continuous problem is one cutting-plane master. Under a support limit
     it is a best-first branch-and-bound: nodes fix assets in (z=1) or out
     (z=0); the relaxation keeps fractional z implicitly through
-    sum(x_j / cap_j) <= slots over the free assets. Branches on the most
-    fractional ratio. The support-size constraint is implemented as <=; with
-    x_i <= u_i z_i and free z this has the same optimal value as equality. A
-    child is its parent's certified master plus one row: x_j <= 0 for z0,
-    its own slot row for z1 (the parent's stays, implied by it); a slot row
-    with no fewer slots than free assets is redundant but valid. The node
-    bound is the certified master bound, and a node's master holds only its
-    own cuts and its ancestors', so its result does not depend on the order
-    in which other nodes ran. The first incumbent comes from the first node
-    popped whose support fits the limit. `extra` goes to the returned
-    Solution.
+    sum(x_j / u_j) <= slots over the free assets, u the region's upper
+    bounds. Branches on the most fractional ratio. The support-size
+    constraint is implemented as <=; with x_i <= u_i z_i and free z this has
+    the same optimal value as equality. A child is its parent's certified
+    master plus one row: x_j <= 0 for z0, its own slot row for z1 (the
+    parent's stays, implied by it); a slot row with no fewer slots than free
+    assets is redundant but valid. The node bound is the certified master
+    bound, and a node's master holds only its own cuts and its ancestors', so
+    its result does not depend on the order in which other nodes ran. The
+    first incumbent comes from the first node popped whose support fits the
+    limit.
     """
     region = problem.region
     cutting = _CuttingPlane(problem, risk, gap)
-    card = problem.cardinality
-    if card is None:
-        return cutting.root(region.upper).solution(**extra)
-    d, l = region.d, card.max_assets
-    caps = np.minimum(card.caps, region.upper)
-    if np.sort(caps)[::-1][:l].sum() < region.capital - 1e-12:
+    if problem.cardinality is None:
+        return cutting.root().solution()
+    d, l, upper = region.d, problem.cardinality.max_assets, region.upper
+    if not _support_reaches_budget(region, l):
         return _failed("infeasible")
 
     def slot_row(z0: frozenset, z1: frozenset):
-        free = ~np.isin(np.arange(d), list(z0 | z1)) & (caps > 1e-12)
-        return np.divide(1.0, caps, out=np.zeros(d), where=free), float(l - len(z1))
+        free = ~np.isin(np.arange(d), list(z0 | z1)) & (upper > 1e-12)
+        return np.divide(1.0, upper, out=np.zeros(d), where=free), float(l - len(z1))
 
     incumbent_val = np.inf
     incumbent: Solution | None = None
@@ -353,7 +350,7 @@ def _solve(problem: PortfolioProblem, risk, gap: float, **extra) -> Solution:
     heap: list = []
 
     coeffs, slots = slot_row(frozenset(), frozenset())
-    root = cutting.root(caps, [coeffs], [slots])
+    root = cutting.root([coeffs], [slots])
     if root.best.status != "optimal":
         return root.best
     solves = 1
@@ -369,11 +366,10 @@ def _solve(problem: PortfolioProblem, risk, gap: float, **extra) -> Solution:
         if len(chosen) <= l:
             if node.best.objective < incumbent_val:
                 incumbent_val = node.best.objective
-                incumbent = node.solution(z=np.isin(np.arange(d), list(chosen)).astype(int),
-                                          **extra)
+                incumbent = node.solution(np.isin(np.arange(d), list(chosen)).astype(int))
             continue
         free = [j for j in sup if j not in z1]
-        ratios = np.array([min(x[j] / caps[j], 1.0) for j in free])
+        ratios = np.array([min(x[j] / upper[j], 1.0) for j in free])
         j_branch = free[int(np.argmax(np.minimum(ratios, 1.0 - ratios)))]
         children = [(z0 | {j_branch}, z1, np.eye(d)[j_branch], 0.0)]
         if len(z1) < l:
@@ -404,8 +400,7 @@ def solve_lp(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
     """
     if problem.cardinality is not None:
         raise ConfigError("use solve_cardinality for problems with a support limit")
-    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL,
-                  scenario_count=scenarios.n)
+    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL)
 
 
 def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solution:
@@ -416,8 +411,7 @@ def solve_cardinality(problem: PortfolioProblem, scenarios: ScenarioSet) -> Solu
     """
     if problem.cardinality is None:
         raise ConfigError("problem has no cardinality constraint")
-    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL,
-                  scenario_count=scenarios.n)
+    return _solve(problem, _risk(EmpiricalDistribution(scenarios), problem.beta), GAP_TOL)
 
 
 def solve_exact_elliptical(problem: PortfolioProblem, dist: EllipticalDistribution) -> Solution:

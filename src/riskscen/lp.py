@@ -10,13 +10,14 @@ bound is shifted out, each finite upper bound becomes a row, and each row is
 an inequality with its own slack (an equality is a pair of opposing rows).
 The all-slack basis is then dual feasible however the right-hand sides are
 signed: its reduced costs are the costs. So one engine solves every LP, the
-dual simplex (Lemke, Naval Res. Logistics Q. 1 (1954)): `solve` runs it from
-the all-slack basis and returns the optimal tableau, and `Tableau.add_rows`
-appends inequality rows to it, whose basic slacks keep every reduced cost
-nonnegative, and runs it again. Leaving row: most negative rhs; entering
-column: smallest ratio of reduced cost to |row entry|, ties broken by the
-largest |pivot|; after a sustained run of degenerate pivots (10x the row
-count) both choices switch to Bland's lowest index, which cannot cycle.
+dual simplex (Lemke, Naval Res. Logistics Q. 1 (1954)). `Tableau.add_rows`
+appends inequality rows, whose basic slacks keep every reduced cost
+nonnegative, and runs it; `solve` appends every row to an empty tableau, so
+it runs from the all-slack basis, and returns the optimal tableau. Leaving
+row: most negative rhs; entering column: smallest ratio of reduced cost to
+|row entry|, ties broken by the largest |pivot|; after a sustained run of
+degenerate pivots (10x the row count) both choices switch to Bland's lowest
+index, which cannot cycle.
 An LP is infeasible exactly when a pivot finds a row below -FEAS_TOL with no
 negative entry. An optimal pass is checked: the reduced costs are recomputed
 from the final tableau, and one below -OPT_TOL raises SolverError.
@@ -189,12 +190,9 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResul
     if not np.all(np.isfinite(lo)):
         raise ValueError("lower bounds must be finite")
 
-    # Rows over the shifted variables y = x - lo >= 0: the inequalities, the
-    # finite upper bounds and each equality as an opposing pair.
+    # The inequalities, the finite upper bounds and each equality as an
+    # opposing pair, appended to the empty tableau over y = x - lo >= 0.
     boxed = np.isfinite(hi)
-    beq_y = b_eq - A_eq @ lo
-    A = np.vstack([A_ub, np.eye(nvar)[boxed], A_eq, -A_eq])
-    rhs = np.concatenate([b_ub - A_ub @ lo, (hi - lo)[boxed], beq_y, -beq_y])
-    m = A.shape[0]
-    T = np.hstack([A, np.eye(m), rhs[:, None]])
-    return Tableau(T, np.arange(nvar, nvar + m), c, lo)._optimize()
+    empty = Tableau(np.zeros((0, nvar + 1)), np.zeros(0, dtype=int), c, lo)
+    return empty.add_rows(np.vstack([A_ub, np.eye(nvar)[boxed], A_eq, -A_eq]),
+                          np.concatenate([b_ub, hi[boxed], b_eq, -b_eq]))

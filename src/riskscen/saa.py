@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import FeasibleRegion, conic_hull
-from .cvar_opt import (PortfolioProblem, _risk, _solution, evaluate_objective,
-                       solve_cardinality, solve_lp)
+from .cvar_opt import (PortfolioProblem, _risk, _solution, _support_reaches_budget,
+                       evaluate_objective, solve_cardinality, solve_lp)
 from .distributions import (EllipticalDistribution, EmpiricalDistribution, atomic_write,
                             fit_from_returns, normal_quantile, sample)
 from .errors import ConfigError, SolverError
@@ -158,17 +158,13 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
 
 
 def _bounds_feasible(region: FeasibleRegion, l, u, cardinality) -> bool:
-    if cardinality is not None:
-        caps = np.minimum(cardinality.caps, u)
-        if int((l > 1e-12).sum()) > cardinality.max_assets:
-            return False
-        if np.sort(caps)[::-1][: cardinality.max_assets].sum() < region.capital - 1e-12:
-            return False
+    if cardinality is not None and int((l > 1e-12).sum()) > cardinality.max_assets:
+        return False
     try:
-        region.with_bounds(l, u)
+        boxed = region.with_bounds(l, u)
     except ConfigError:
         return False
-    return True
+    return cardinality is None or _support_reaches_budget(boxed, cardinality.max_assets)
 
 
 def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
@@ -234,17 +230,16 @@ def run_saa(problem: PortfolioProblem, source, config: SaaConfig, seed: int,
             problem_t = replace(problem, region=region0.with_bounds(lower, upper))
             rr = RiskRegion(surrogate, conic_hull(problem_t.region), problem.beta)
 
-    return _screen_candidates(problem, source, seed, history), history
+    return _screen_candidates(problem, source, history), history
 
 
-def _screen_candidates(problem, source, seed, history):
+def _screen_candidates(problem, source, history):
     """The candidate of lowest exact CVaR under `source`, ties by lower exact VaR."""
     risk = _risk(source, problem.beta)
     tails = [(risk(x)[1::-1], x, z)  # ((CVaR, VaR), x, z)
              for state in history for x, z in zip(state.solutions, state.supports)]
     (cvar, _), x, z = min(tails, key=lambda t: t[0])
-    count = source.scenarios.n if isinstance(source, EmpiricalDistribution) else None
-    return _solution(problem, x, cvar, z=z, seed=int(seed), scenario_count=count)
+    return _solution(problem, x, cvar, z)
 
 
 def write_history(history, path, meta: dict | None = None) -> None:

@@ -506,7 +506,7 @@ class TestCardinality:
                     best = min(best, cand.objective)
             assert sol.objective == pytest.approx(best, abs=1e-7)
             assert sol.z.sum() <= 2
-            assert np.all(sol.x <= problem.cardinality.caps * sol.z + 1e-8)
+            assert np.all(sol.x <= problem.region.upper * sol.z + 1e-8)
 
     def test_single_asset_limit_picks_best_discrete_cvar(self):
         rng = np.random.default_rng(7)
@@ -615,8 +615,8 @@ class TestCardinality:
 
     def test_infeasible_when_caps_cannot_reach_budget(self):
         problem = PortfolioProblem(
-            FeasibleRegion(4, 1.0), 0.9, mu=np.zeros(4), mode="P3",
-            cardinality=Cardinality(2, caps=np.full(4, 0.3)))
+            FeasibleRegion(4, 1.0, upper=0.3), 0.9, mu=np.zeros(4), mode="P3",
+            cardinality=Cardinality(2))
         scen = ScenarioSet.equally_weighted(np.zeros((3, 4)))
         assert solve_cardinality(problem, scen).status == "infeasible"
 

@@ -481,6 +481,20 @@ class TestCli:
         assert "argument --seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "normal", "dimensions": [2], "betas": [0.95], "quotas": [1.0],
+            "trials": 1, "n_points": 50, "source": {"synthetic": {"months": 60}}}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prob-table", "--config", str(cfg), "--seed", "1", "--jobs", jobs,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_64_bit_seed_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -143,6 +143,32 @@ class TestGhostBounds:
         with pytest.raises(SolverError):
             update_ghost_bounds(sols, 0.99, region, region.lower, region.upper)
 
+    def test_support_limit_rejects_more_forced_positions(self):
+        # A collapsed box forces three positions, more than two slots allow.
+        region = FeasibleRegion(4, 1.0)
+        sols = np.tile([0.4, 0.3, 0.3, 0.0], (4, 1))
+        l, u = update_ghost_bounds(sols, 0.99, region, region.lower, region.upper)
+        assert np.all(l <= u)
+        with pytest.raises(SolverError):
+            update_ghost_bounds(sols, 0.99, region, region.lower, region.upper,
+                                Cardinality(2))
+
+    def test_support_limit_needs_upper_bounds_that_reach_the_budget(self):
+        # Every box upper bound comes out 1/6 + z sd / 2 = 0.3905 at alpha 0.99
+        # (0.4145 after widening): three reach the budget, two cannot.
+        region = FeasibleRegion(6, 1.0)
+        a = 1.0 / 3.0
+        sols = np.array([[a, a, a, 0, 0, 0], [0, 0, 0, a, a, a],
+                         [a, 0, a, 0, a, 0], [0, a, 0, a, 0, a]])
+        l, u = update_ghost_bounds(sols, 0.99, region, region.lower, region.upper)
+        assert u == pytest.approx(np.full(6, 0.3905), abs=1e-4)
+        with pytest.raises(SolverError):
+            update_ghost_bounds(sols, 0.99, region, region.lower, region.upper,
+                                Cardinality(2))
+        l3, u3 = update_ghost_bounds(sols, 0.99, region, region.lower, region.upper,
+                                     Cardinality(3))
+        assert np.array_equal(l3, l) and np.array_equal(u3, u)
+
     def test_formula_matches_normal_quantile(self):
         region = FeasibleRegion(2, 1.0)
         rng = np.random.default_rng(3)
@@ -259,7 +285,6 @@ class TestRunSaa:
         lowest = min(exact(x) for state in history for x in state.solutions)
         assert len(history) == 2
         assert exact(best.x) == lowest and best.cvar == lowest[0]
-        assert best.scenario_count == (scen.n if empirical else None)
         # validation_n is accepted and unread
         again, _ = run_saa(problem, source, replace(cfg, validation_n=1), 23)
         assert np.array_equal(again.x, best.x) and again.cvar == best.cvar
