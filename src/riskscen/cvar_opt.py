@@ -310,8 +310,11 @@ class _CuttingPlane:
 
 
 def _support_reaches_budget(region: FeasibleRegion, max_assets: int) -> bool:
-    """Whether the `max_assets` largest upper bounds can hold the budget."""
-    return bool(np.sort(region.upper)[::-1][:max_assets].sum() >= region.capital - 1e-12)
+    """Whether `max_assets` assets, every forced one (lower bound > 0) among them, hold the budget."""
+    forced = region.lower > 1e-12
+    spare = max_assets - int(forced.sum())
+    top = np.sort(region.upper[~forced])[::-1][:max(spare, 0)]
+    return spare >= 0 and bool(region.upper[forced].sum() + top.sum() >= region.capital - 1e-12)
 
 
 def _solve(problem: PortfolioProblem, risk, gap: float) -> Solution:

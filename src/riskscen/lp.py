@@ -10,14 +10,16 @@ bound is shifted out, each finite upper bound becomes a row, and each row is
 an inequality with its own slack (an equality is a pair of opposing rows).
 The all-slack basis is then dual feasible however the right-hand sides are
 signed: its reduced costs are the costs. So one engine solves every LP, the
-dual simplex (Lemke, Naval Res. Logistics Q. 1 (1954)). `Tableau.add_rows`
-appends inequality rows, whose basic slacks keep every reduced cost
-nonnegative, and runs it; `solve` appends every row to an empty tableau, so
-it runs from the all-slack basis, and returns the optimal tableau. Leaving
-row: most negative rhs; entering column: smallest ratio of reduced cost to
-|row entry|, ties broken by the largest |pivot|; after a sustained run of
-degenerate pivots (10x the row count) both choices switch to Bland's lowest
-index, which cannot cycle.
+dual simplex (Lemke, Naval Res. Logistics Q. 1 (1954)), on a condensed
+tableau: one column per nonbasic variable and the rhs, so nvar + 1 columns
+however many rows it gains. `Tableau.add_rows` appends inequality rows,
+whose basic slacks keep every reduced cost nonnegative, and runs it; `solve`
+appends every row to an empty tableau, so it runs from the all-slack basis,
+and returns the optimal tableau. Leaving row: most negative rhs; entering
+column: smallest ratio of reduced cost to |row entry|, ties broken by the
+largest |pivot|, then the lowest label; after a sustained run of degenerate
+pivots (10x the row count) both choices switch to Bland's lowest label,
+which cannot cycle.
 An LP is infeasible exactly when a pivot finds a row below -FEAS_TOL with no
 negative entry. An optimal pass is checked: the reduced costs are recomputed
 from the final tableau, and one below -OPT_TOL raises SolverError.
@@ -49,30 +51,29 @@ class LpResult:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    """Jordan exchange: row's basic variable leaves, col's nonbasic one enters."""
+    p = float(T[row, col])
+    T[row] /= p
     colv = T[:, col].copy()
     colv[row] = 0.0
     T -= np.outer(colv, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[:, col] = colv * (-1.0 / p)  # what a full pivot makes of the leaving unit column
+    T[row, col] = 1.0 / p
 
 
-def _reduced_costs(T, basis, c) -> np.ndarray:
-    r = c - c[basis] @ T[:, :-1]
-    r[basis] = 0.0
-    return r
+def _reduced_costs(T, basic, nonbasic, c) -> np.ndarray:
+    return c[nonbasic] - c[basic] @ T[:, :-1]
 
 
-def _run_dual_simplex(T, basis, c, maxiter, bland_after):
+def _run_dual_simplex(T, basic, nonbasic, c, maxiter, bland_after):
     """Dual-simplex pivots on a dual-feasible tableau until the rhs is >= 0.
 
-    T is m x (n+1) with rhs last and T[:, basis] = I. Stops when every basic
-    value is >= -DUAL_STOP_TOL; a row below -FEAS_TOL with no negative entry
-    proves the LP infeasible, one above it is rounding and is left until the
-    next pivot.
+    T is condensed (see Tableau) and c is indexed by label. Stops when every
+    basic value is >= -DUAL_STOP_TOL; a row below -FEAS_TOL with no negative
+    entry proves the LP infeasible, one above it is rounding and is left
+    until the next pivot.
     """
-    m, n1 = T.shape
-    n = n1 - 1
+    m, n = T.shape[0], T.shape[1] - 1
     degen_run = 0
     bland = False
     stuck = np.zeros(m, dtype=bool)
@@ -81,7 +82,7 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
         neg = np.flatnonzero(rhs < -DUAL_STOP_TOL)
         if neg.size == 0:
             return "optimal", it
-        leave = int(neg[np.argmin(basis[neg] if bland else rhs[neg])])
+        leave = int(neg[np.argmin(basic[neg] if bland else rhs[neg])])
         row = T[leave, :n]
         cand = row < -FEAS_TOL
         if not cand.any():
@@ -89,12 +90,14 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
                 return "infeasible", it
             stuck[leave] = True
             continue
-        r = _reduced_costs(T, basis, c)
+        r = _reduced_costs(T, basic, nonbasic, c)
         ratios = np.full(n, np.inf)
         ratios[cand] = np.maximum(r[cand], 0.0) / -row[cand]
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + OPT_TOL * (1.0 + abs(best)))
-        enter = int(ties[0]) if bland else int(ties[np.argmin(row[ties])])
+        if ties.size > 1 and not bland:  # the largest |pivot| first, then the lowest label
+            ties = ties[row[ties] == row[ties].min()]
+        enter = int(ties[np.argmin(nonbasic[ties])] if ties.size > 1 else ties[0])
         if best <= OPT_TOL:
             degen_run += 1
             if degen_run > bland_after:
@@ -103,7 +106,7 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
             degen_run = 0
             bland = False
         _pivot(T, leave, enter)
-        basis[leave] = enter
+        basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
         stuck[:] = False
     return "iteration-limit", maxiter
 
@@ -111,19 +114,22 @@ def _run_dual_simplex(T, basis, c, maxiter, bland_after):
 class Tableau:
     """The tableau of an LP in standard form, kept to re-optimize after new rows.
 
-    T is [shifted variables | slacks | rhs] with T[:, basis] = I; the original
-    variables are x = offset + y over the first columns y. `add_rows` changes
-    the tableau in place; `copy` branches it.
+    T is m x (nvar + 1), one column per nonbasic variable and the rhs last;
+    `basic` and `nonbasic` label the variable of each row and column:
+    structural y_j is j, and row i's slack is nvar + i. The original variables
+    are x = offset + y. `add_rows` changes the tableau in place; `copy`
+    branches it.
     """
 
-    def __init__(self, T, basis, c, offset):
+    def __init__(self, T, basic, nonbasic, c, offset):
         self.T = T
-        self.basis = basis
+        self.basic = basic
+        self.nonbasic = nonbasic
         self.c = c  # the nonnegative costs of x
         self.offset = offset
 
     def copy(self) -> Tableau:
-        return Tableau(self.T.copy(), self.basis.copy(), self.c, self.offset)
+        return Tableau(self.T.copy(), self.basic.copy(), self.nonbasic.copy(), self.c, self.offset)
 
     def add_rows(self, A, b) -> LpResult:
         """Append the rows A x <= b (original variables) and re-optimize.
@@ -134,35 +140,29 @@ class Tableau:
         """
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
-        k = A.shape[0]
-        m, n1 = self.T.shape
-        n = n1 - 1
-        T = np.zeros((m + k, n + k + 1))
-        T[:m, :n] = self.T[:, :n]
-        T[:m, -1] = self.T[:, -1]
-        new = T[m:]
-        new[:, : self.c.size] = A
-        new[:, n : n + k] = np.eye(k)
-        new[:, -1] = b - A @ self.offset
-        new -= new[:, self.basis] @ T[:m]
-        self.T, self.basis = T, np.concatenate([self.basis, np.arange(n, n + k)])
+        k, m, nvar = A.shape[0], self.T.shape[0], self.c.size
+        full = np.concatenate([A, np.zeros((k, m))], axis=1)  # no entry on an old slack
+        new = np.concatenate([full[:, self.nonbasic], (b - A @ self.offset)[:, None]], axis=1)
+        structural = self.basic < nvar
+        new -= A[:, self.basic[structural]] @ self.T[structural]
+        self.T = np.concatenate([self.T, new])
+        self.basic = np.concatenate([self.basic, np.arange(nvar + m, nvar + m + k)])
         return self._optimize()
 
     def _optimize(self) -> LpResult:
         """One dual-simplex pass from the current dual-feasible basis, then its check."""
-        m, n = self.T.shape[0], self.T.shape[1] - 1
-        cost = np.zeros(n)
-        cost[: self.c.size] = self.c
-        status, it = _run_dual_simplex(self.T, self.basis, cost, 10000 + 25 * (m + n),
-                                       10 * max(m, 1))
+        m, nvar = self.T.shape[0], self.c.size
+        cost = np.concatenate([self.c, np.zeros(m)])  # a slack costs nothing
+        status, it = _run_dual_simplex(self.T, self.basic, self.nonbasic, cost,
+                                       10000 + 25 * (2 * m + nvar), 10 * max(m, 1))
         if status != "optimal":
             return LpResult(status, None, None, it)
-        worst = _reduced_costs(self.T, self.basis, cost).min(initial=0.0)
+        worst = _reduced_costs(self.T, self.basic, self.nonbasic, cost).min(initial=0.0)
         if worst < -OPT_TOL:
             raise SolverError(f"dual simplex ended with reduced cost {worst:.3g}")
-        y = np.zeros(n)
-        y[self.basis] = self.T[:, -1]
-        x = self.offset + y[: self.c.size]
+        y = np.zeros(nvar + m)
+        y[self.basic] = self.T[:, -1]
+        x = self.offset + y[:nvar]
         return LpResult("optimal", x, float(self.c @ x), it, self)
 
 
@@ -193,6 +193,6 @@ def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LpResul
     # The inequalities, the finite upper bounds and each equality as an
     # opposing pair, appended to the empty tableau over y = x - lo >= 0.
     boxed = np.isfinite(hi)
-    empty = Tableau(np.zeros((0, nvar + 1)), np.zeros(0, dtype=int), c, lo)
+    empty = Tableau(np.zeros((0, nvar + 1)), np.zeros(0, dtype=int), np.arange(nvar), c, lo)
     return empty.add_rows(np.vstack([A_ub, np.eye(nvar)[boxed], A_eq, -A_eq]),
                           np.concatenate([b_ub, hi[boxed], b_eq, -b_eq]))

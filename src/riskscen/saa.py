@@ -158,8 +158,6 @@ def update_ghost_bounds(solutions, alpha: float, region: FeasibleRegion,
 
 
 def _bounds_feasible(region: FeasibleRegion, l, u, cardinality) -> bool:
-    if cardinality is not None and int((l > 1e-12).sum()) > cardinality.max_assets:
-        return False
     try:
         boxed = region.with_bounds(l, u)
     except ConfigError:

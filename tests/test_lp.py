@@ -88,10 +88,10 @@ def test_degenerate_rhs_zero_rows():
 
 
 def _slack_tableau(A, b):
-    """The all-slack tableau [A | I | b] of A y <= b, y >= 0, and its basis."""
+    """The condensed all-slack tableau [A | b] of A y <= b, y >= 0, and its labels."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    return np.hstack([A, np.eye(m), np.asarray(b, dtype=float)[:, None]]), np.arange(n, n + m)
+    return np.hstack([A, np.asarray(b, dtype=float)[:, None]]), np.arange(n, n + m), np.arange(n)
 
 
 @pytest.mark.parametrize("trial", range(8))
@@ -100,21 +100,78 @@ def test_bland_rule_dual_pass_matches_scipy_verdict(trial):
     rng = np.random.default_rng(5000 + trial)
     A = rng.normal(size=(5, 3))
     b = rng.normal(size=5) - 0.5
-    T, basis = _slack_tableau(A, b)
-    status, _ = lp._run_dual_simplex(T, basis, np.zeros(8), 1000, 0)
+    T, basic, nonbasic = _slack_tableau(A, b)
+    status, _ = lp._run_dual_simplex(T, basic, nonbasic, np.zeros(8), 1000, 0)
     ref = linprog(np.zeros(3), A_ub=A, b_ub=b, method="highs")
     assert status == {0: "optimal", 2: "infeasible"}[ref.status]
     if status == "optimal":
         y = np.zeros(8)
-        y[basis] = T[:, -1]
+        y[basic] = T[:, -1]
         assert np.all(A @ y[:3] <= b + 1e-9) and np.all(y >= -1e-12)
 
 
 def test_dual_pass_leaves_a_rounding_row_stuck_not_infeasible():
     # rhs -1e-11 is below DUAL_STOP_TOL but above -FEAS_TOL, and the row has
     # no negative entry to pivot on: rounding, not an infeasibility proof.
-    T = np.array([[1.0, 1.0, -1e-11]])
-    assert lp._run_dual_simplex(T, np.array([1]), np.zeros(2), 100, 0)[0] == "optimal"
+    T = np.array([[1.0, -1e-11]])
+    assert lp._run_dual_simplex(T, np.array([1]), np.array([0]), np.zeros(2), 100, 0)[0] == "optimal"
+
+
+def _full_tableau_pass(A, b, c, bland_after):
+    """The reference dual simplex on the full tableau [A | I | b], where every
+    variable keeps its column: the same rules and tolerances as
+    lp._run_dual_simplex. Returns (status, iterations, basis, rhs)."""
+    m, n = A.shape
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    basis, c = np.arange(n, n + m), np.append(c, np.zeros(m))
+    degen_run, bland, stuck = 0, False, np.zeros(m, dtype=bool)
+    for it in range(1000):
+        rhs = np.where(stuck, 0.0, T[:, -1])
+        neg = np.flatnonzero(rhs < -lp.DUAL_STOP_TOL)
+        if neg.size == 0:
+            return "optimal", it, basis, T[:, -1]
+        leave = int(neg[np.argmin(basis[neg] if bland else rhs[neg])])
+        row = T[leave, :-1]
+        cand = row < -lp.FEAS_TOL
+        if not cand.any():
+            if rhs[leave] < -lp.FEAS_TOL:
+                return "infeasible", it, basis, T[:, -1]
+            stuck[leave] = True
+            continue
+        r = c - c[basis] @ T[:, :-1]
+        r[basis] = 0.0
+        ratios = np.full(n + m, np.inf)
+        ratios[cand] = np.maximum(r[cand], 0.0) / -row[cand]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + lp.OPT_TOL * (1.0 + abs(best)))
+        enter = int(ties[0]) if bland else int(ties[np.argmin(row[ties])])
+        degen_run = degen_run + 1 if best <= lp.OPT_TOL else 0
+        bland = degen_run > bland_after
+        T[leave] /= T[leave, enter]
+        colv = T[:, enter].copy()
+        colv[leave] = 0.0
+        T -= np.outer(colv, T[leave])
+        basis[leave] = enter
+        stuck[:] = False
+    return "iteration-limit", 1000, basis, T[:, -1]
+
+
+@pytest.mark.parametrize("bland_after", [0, 2])
+@pytest.mark.parametrize("trial", range(16))
+def test_dual_pass_takes_the_full_tableau_pivots(trial, bland_after):
+    """Entries in {-1, 0, 1}, zero right-hand sides and, in odd trials, zero
+    costs make ratio and pivot ties common, so their order by label is
+    exercised under both rules."""
+    rng = np.random.default_rng(6000 + trial)
+    A = rng.integers(-1, 2, size=(14, 8)).astype(float)
+    b = np.where(rng.uniform(size=14) < 0.5, 0.0, rng.integers(-3, 2, size=14).astype(float))
+    c = rng.integers(0, 3, size=8).astype(float) * (trial % 2 == 0)
+    status, it, basis, rhs = _full_tableau_pass(A, b, c, bland_after)
+    T, basic, nonbasic = _slack_tableau(A, b)
+    assert lp._run_dual_simplex(T, basic, nonbasic, np.append(c, np.zeros(14)), 1000,
+                                bland_after) == (status, it)
+    assert np.array_equal(basic, basis)
+    assert np.allclose(T[:, -1], rhs, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(80))
@@ -165,12 +222,13 @@ def test_feasible_point_probe():
                     bounds=[(0, 1), (0, 1)]).status == "infeasible"
 
 
-def _random_master(rng):
+def _random_master(rng, n=None):
     """A feasible LP shaped like a cutting-plane master: a box on x, a budget
     row, random rows through an interior point, and an epigraph variable t
     (last) with cost e_t, one cut t >= (g + lin)'x and the lower bound on t
-    that the cut implies over the budget. Returns the LP and lin."""
-    n = int(rng.integers(2, 7))
+    that the cut implies over the budget. n, the size of x, is drawn in
+    [2, 6] unless given. Returns the LP and lin."""
+    n = int(rng.integers(2, 7)) if n is None else n
     x0 = rng.uniform(0.2, 0.8, size=n)
     lin = rng.normal(size=n) * 0.1
     h0 = rng.normal(size=n) + lin
@@ -230,3 +288,22 @@ def test_appended_row_can_make_the_lp_infeasible():
     assert tab.copy().add_rows([[1.0, 0.0]], [0.5]).status == "optimal"
     assert tab.copy().add_rows([[1.0, 1.0]], [0.5]).status == "infeasible"
     assert tab.add_rows([[-1.0, 0.0]], [-0.6]).x == pytest.approx([0.6, 0.4], abs=1e-9)
+
+
+def test_tall_tableau_keeps_one_column_per_nonbasic_variable():
+    # A master at d = 20 gains 300 random cuts, far more rows than variables;
+    # the tableau stays (rows, nvar + 1) and its optimum tracks HiGHS.
+    rng = np.random.default_rng(3100)
+    (c, A_ub, b_ub, A_eq, b_eq, bounds), lin = _random_master(rng, n=20)
+    res = lp.solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    rows = A_ub.shape[0] + 20 + 2  # the boxed x, and the equality as two rows
+    for step in range(1, 301):
+        cut = np.append(rng.normal(size=20) + lin, -1.0)
+        A_ub, b_ub = np.vstack([A_ub, cut]), np.append(b_ub, 0.0)
+        res = res.tableau.add_rows(cut[None, :], [0.0])
+        rows += 1
+        assert res.status == "optimal"
+        if step % 50 == 0:
+            ref = linprog(c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs")
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+            assert res.tableau.T.shape == (rows, c.size + 1)

@@ -169,6 +169,15 @@ class TestGhostBounds:
                                      Cardinality(3))
         assert np.array_equal(l3, l) and np.array_equal(u3, u)
 
+    def test_support_limit_counts_forced_positions_toward_the_reach(self):
+        # Asset 0 is forced at 0.1, so a 2-support holds it and one other
+        # asset: at most 0.1 + 0.8386 < 1, although the two largest upper
+        # bounds alone reach the budget.
+        region = FeasibleRegion(4, 1.0)
+        sols = [[0.1, 0.9, 0, 0], [0.1, 0, 0.9, 0], [0.1, 0, 0, 0.9], [0.1, 0.45, 0.45, 0]]
+        with pytest.raises(SolverError):
+            update_ghost_bounds(sols, 0.99, region, np.zeros(4), np.ones(4), Cardinality(2))
+
     def test_formula_matches_normal_quantile(self):
         region = FeasibleRegion(2, 1.0)
         rng = np.random.default_rng(3)
