@@ -1,12 +1,12 @@
 """Convex cones, conic hulls of portfolio feasible sets, and cone projection.
 
 A cone carries a generator form {G' lam : lam >= 0} (generators are rows of
-G), a polyhedral form {x : B x >= 0}, or both. Projection onto a finitely
-generated cone is one nonnegative least-squares problem (Lawson-Hanson
-NNLS, the only solver routine here); projection onto a polyhedral cone goes
-through the polar cone (generated by the negated facet rows) and the Moreau
-decomposition x = p_K(x) + p_polar(x); projection onto a polytope is a
-least-distance program, solved through the same NNLS.
+G), a polyhedral form {x : B x >= 0}, or both; a conic hull of a budget and
+box Q keeps Q as its base. ConeProjector runs Lawson-Hanson NNLS over the
+generators; else over the vertices of a base, entering the one a fractional
+knapsack prices (Base.price); else over the polar cone's generators (the
+negated facets) and takes the Moreau decomposition x = p_K(x) + p_polar(x).
+Projection onto a polytope is a least-distance program, solved by NNLS too.
 
 The NNLS is batched over right-hand sides: a stack of points shares one
 matrix, and their active-set steps run in lockstep, so ConeProjector.project
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,18 +130,38 @@ def _clean_generators(G: np.ndarray) -> np.ndarray:
     return np.array(kept) if kept else np.zeros((0, G.shape[1] if G.ndim == 2 else 0))
 
 
+class Base(NamedTuple):
+    """Q = {s : 1's = capital, lower <= s <= upper}, a base of the cone cone{P s : s in Q}."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    capital: float
+    P: np.ndarray
+
+    def price(self, R: np.ndarray) -> np.ndarray:
+        """For each row r of R, the column P s of a vertex s of Q maximizing r'P s:
+        from s = lower, the budget left fills coordinates by descending P'r."""
+        order = np.argsort(-(R @ self.P), axis=1)
+        width = (self.upper - self.lower)[order]
+        fill = np.clip(self.capital - self.lower.sum() - (width.cumsum(axis=1) - width), 0, width)
+        S = np.empty_like(fill)
+        np.put_along_axis(S, order, fill, axis=1)
+        return (S + self.lower) @ self.P.T
+
+
 @dataclass(frozen=True)
 class Cone:
     """Convex cone in generator and/or polyhedral form.
 
     generators: (k, d), rows are generating rays (stored unit-normalized,
     zero rows and duplicates dropped). facets: (p, d), cone is
-    {x : facets @ x >= 0}. At least one form must be present.
+    {x : facets @ x >= 0}. At least one form must be present. base: a Base of it, if known.
     """
 
     d: int
     generators: np.ndarray | None = None
     facets: np.ndarray | None = None
+    base: Base | None = None
 
     def __post_init__(self):
         if self.generators is None and self.facets is None:
@@ -191,9 +212,9 @@ def conic_hull(region: FeasibleRegion) -> Cone:
     Each inequality row (a, b) of the region contributes the facet
     (b/capital) * 1 - a; nontrivial bounds are folded in as rows first
     (x_j <= u_j for u_j < capital, x_j >= l_j for l_j > 0); the positivity
-    constraints contribute the identity rows. With no rows and trivial
-    bounds the hull is the nonnegative orthant and the standard basis is
-    attached as a generator form as well.
+    constraints contribute the identity rows. Without inequality rows the hull
+    is cone(Q), Q the budget and the folded bounds, kept as its base; with
+    trivial bounds too it is the orthant, and gets the standard basis as generators.
     """
     c = region.capital
     if c <= 0:
@@ -213,12 +234,17 @@ def conic_hull(region: FeasibleRegion) -> Cone:
         E[np.arange(lo_idx.size), lo_idx] = -1.0
         rows.append(E)
         rhs.append(-region.lower[lo_idx])
+    base = None
+    if not region.m:
+        lower, upper = np.zeros(d), np.full(d, c)
+        lower[lo_idx], upper[up_idx] = region.lower[lo_idx], region.upper[up_idx]
+        base = Base(lower, upper, c, np.eye(d))
     if rows:
         A = np.vstack(rows)
         b = np.concatenate(rhs)
         B = np.vstack([np.outer(b / c, np.ones(d)) - A, np.eye(d)])
-        return Cone(d, facets=B)
-    return Cone(d, generators=np.eye(d), facets=np.eye(d))
+        return Cone(d, facets=B, base=base)
+    return Cone(d, generators=np.eye(d), facets=np.eye(d), base=base)
 
 
 def nnls(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -262,32 +288,45 @@ def nnls(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             passive[rows[bad], j[bad]] = False
             skipped[rows[bad], j[bad]] = True
             rows, s = rows[~bad], s[~bad]
-        while True:
-            neg = passive[rows] & (s <= 0.0)
-            back = np.flatnonzero(neg.any(axis=1))
-            if not back.size:
-                break
-            r, lr, sr, nr = rows[back], lam[rows[back]], s[back], neg[back]
-            ratio = np.full(nr.shape, np.inf)
-            ratio[nr] = lr[nr] / (lr[nr] - sr[nr])
-            k = np.argmin(ratio, axis=1)
-            at = np.arange(back.size)
-            lr = lr + ratio[at, k][:, None] * (sr - lr)
-            lr[at, k] = 0.0
-            passive[r] = passive[r] & (lr > 0.0)
-            lr[~passive[r]] = 0.0
-            lam[r] = lr
-            s[back] = _passive_solve(Q, A, B[r], AtB[r], passive[r])
+        pas = passive[rows]
+        _step_back(lam[rows], s, pas,
+                   lambda i, p: _passive_solve(Q, A, B[rows[i]], AtB[rows[i]], p))
+        passive[rows] = pas
         lam[rows] = s
         w[rows] = (B[rows] - s @ A.T) @ A
         skipped[rows] = False
-    failed = ((lam.min(axis=1, initial=0.0) < 0.0)
-              | (w.max(axis=1, initial=0.0) > NNLS_CERT_TOL * scale)
-              | (np.abs(np.einsum("ij,ij->i", lam, w)) > NNLS_CERT_TOL * bnorm * bnorm))
-    if failed.any():
-        raise SolverError(f"NNLS result failed its KKT certificate "
-                          f"({int(failed.sum())} of {B.shape[0]} rows)")
+    _certify("NNLS", lam, w.max(axis=1, initial=0.0), np.einsum("ij,ij->i", lam, w), scale, bnorm)
     return lam[0] if single else lam
+
+
+def _step_back(lam, s, passive, solve):
+    """Lawson-Hanson's inner loop, in place: while passive coefficients of s are <= 0,
+    move lam toward s until one is 0, drop it, and re-solve rows i by solve(i, passive[i])."""
+    while True:
+        neg = passive & (s <= 0.0)
+        back = np.flatnonzero(neg.any(axis=1))
+        if not back.size:
+            return
+        lr, sr, nr = lam[back], s[back], neg[back]
+        ratio = np.full(nr.shape, np.inf)
+        ratio[nr] = lr[nr] / (lr[nr] - sr[nr])
+        k = np.argmin(ratio, axis=1)
+        at = np.arange(back.size)
+        lr = lr + ratio[at, k][:, None] * (sr - lr)
+        lr[at, k] = 0.0
+        passive[back] &= lr > 0.0
+        lr[~passive[back]] = 0.0
+        lam[back] = lr
+        s[back] = solve(back, passive[back])
+
+
+def _certify(what, lam, wmax, slack, scale, bnorm):
+    """SolverError unless every row has lam >= 0, wmax <= tol * scale and |slack| <= tol |b|^2."""
+    failed = ((lam.min(axis=1, initial=0.0) < 0.0) | (wmax > NNLS_CERT_TOL * scale)
+              | (np.abs(slack) > NNLS_CERT_TOL * bnorm * bnorm))
+    if failed.any():
+        raise SolverError(f"{what} result failed its KKT certificate "
+                          f"({int(failed.sum())} of {lam.shape[0]} rows)")
 
 
 def _passive_solve(Q, A, B, AtB, passive):
@@ -328,34 +367,92 @@ def _passive_solve(Q, A, B, AtB, passive):
 class ConeProjector:
     """Reusable projection engine for one cone.
 
-    Holds the generator matrix G once (the cone's own, or the polar cone's
-    negated facet rows for the Moreau route), so batch classification does
-    not rebuild it per call. The nearest point of cone{rows of G} to x0 is
-    G' nnls(G', x0); a stack of points is projected in one batched NNLS.
+    The route follows the cone: its generators G, else its base's vertices
+    (_nnls_vertices), else the polar's generators G, the negated facet rows;
+    prefer="generators" or "facets" forces a G route. G is built once; the
+    nearest point of cone{rows of G} to x0 is G' nnls(G', x0), batched.
     """
 
     def __init__(self, cone: Cone, prefer: str | None = None):
+        self.via_polar, self.G = False, None
+        self.base = cone.base if prefer is None and cone.generators is None else None
+        if self.base is not None:  # every column P s has |P s| <= |P| |s|_1 = |P| capital
+            self.colmax = np.linalg.norm(self.base.P, 2) * self.base.capital
+            return
         if prefer is None:
             prefer = "generators" if cone.generators is not None else "facets"
         if prefer == "generators":
             if cone.generators is None:
                 raise ConfigError("cone has no generator form")
-            self.via_polar = False
             self.G = cone.generators
         else:
             if cone.facets is None:
                 raise ConfigError("cone has no facet form")
             self.via_polar = True
             self.G = _clean_generators(-cone.facets)
-        self.d = cone.d
 
     def project(self, x0) -> np.ndarray:
         """Nearest cone point to one point (d,), or to each row of a stack (N, d)."""
         x0 = np.asarray(x0, dtype=float)
         if not np.all(np.isfinite(x0)):
             raise ConfigError("cannot project a non-finite point")
+        if self.base is not None:
+            return _nnls_vertices(self.base, self.colmax, np.atleast_2d(x0)).reshape(x0.shape)
         p = nnls(self.G.T, x0) @ self.G
         return x0 - p if self.via_polar else p
+
+
+def _nnls_vertices(base: Base, colmax: float, B: np.ndarray) -> np.ndarray:
+    """Projection of each row b of B onto cone{P s : s a vertex of the base Q}.
+
+    nnls in lockstep, each row's entering column priced by base.price from its
+    residual (column generation); passive columns sit in an (N, p, d) stack, p
+    the largest passive count yet. A row stops when its priced dual is <= tol
+    * |b| colmax (colmax bounds every |P s|), its priced vertex is passive, or
+    it enters at a coefficient <= 0. The pricing is exact over every vertex,
+    so every row gets nnls's full KKT certificate.
+    """
+    N, d = B.shape
+    bnorm = np.linalg.norm(B, axis=1)
+    scale = bnorm * colmax
+    C, lam = np.zeros((N, 0, d)), np.zeros((N, 0))  # a column slot is passive while lam > 0
+    R, rows = B.copy(), np.arange(N)  # residuals, rows still iterating
+    for _ in range(6 * d):
+        c = base.price(R[rows])
+        known = ((C[rows] == c[:, None, :]).all(axis=2) & (lam[rows] > 0.0)).any(axis=1)
+        go = (np.einsum("ij,ij->i", R[rows], c) > NNLS_ENTER_TOL * scale[rows]) & ~known
+        rows, c = rows[go], c[go]
+        if not rows.size:
+            break
+        if (lam[rows] > 0.0).all(axis=1).any():  # some row has no free slot
+            C = np.concatenate([C, np.zeros((N, 1, d))], axis=1)
+            lam = np.concatenate([lam, np.zeros((N, 1))], axis=1)
+        j = np.argmin(lam[rows] > 0.0, axis=1)
+        C[rows, j] = c
+        passive = lam[rows] > 0.0
+        passive[np.arange(rows.size), j] = True
+        s = _vertex_solve(C[rows], B[rows], passive)
+        ok = s[np.arange(rows.size), j] > 0.0
+        rows, s, passive = rows[ok], s[ok], passive[ok]
+        _step_back(lam[rows], s, passive, lambda i, p: _vertex_solve(C[rows[i]], B[rows[i]], p))
+        lam[rows] = s
+        R[rows] = B[rows] - np.einsum("kp,kpd->kd", s, C[rows])
+    _certify("vertex-column NNLS", lam, np.einsum("ij,ij->i", R, base.price(R)),
+             np.einsum("np,npd,nd->n", lam, C, R), scale, bnorm)
+    return np.einsum("np,npd->nd", lam, C)
+
+
+def _vertex_solve(C, B, passive):
+    """Each row of B on its passive columns in C (k, p, d), as in _passive_solve."""
+    C = C * passive[..., None]  # other slots: zero columns, identity rows of M
+    M = C @ C.transpose(0, 2, 1) + np.eye(C.shape[1]) * ~passive[:, None, :]
+    try:
+        s = np.linalg.solve(M, np.einsum("kpd,kd->kp", C, B)[..., None])[..., 0]
+        res = B - np.einsum("kp,kpd->kd", s, C)
+        s += np.linalg.solve(M, np.einsum("kpd,kd->kp", C, res)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"NNLS passive system is singular: {exc}") from exc
+    return s
 
 
 def project_generators(cone: Cone, x0) -> np.ndarray:
@@ -416,10 +513,10 @@ def project_polytope(y, G: np.ndarray, h: np.ndarray) -> np.ndarray:
 def transform(cone: Cone, P: np.ndarray) -> Cone:
     """The image cone P K for a nonsingular matrix P.
 
-    Generator rows map through P; facet rows become B P^{-1}.
+    Generator rows and a base's columns map through P; facet rows become B P^{-1}.
     """
     gens = cone.generators @ P.T if cone.generators is not None else None
     facets = None
     if cone.facets is not None:
         facets = np.linalg.solve(P.T, cone.facets.T).T  # B P^{-1}
-    return Cone(cone.d, gens, facets)
+    return Cone(cone.d, gens, facets, cone.base and cone.base._replace(P=P @ cone.base.P))

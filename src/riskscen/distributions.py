@@ -31,6 +31,7 @@ STUDENT_T = "student-t"
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_CSV_BLOCK = 256  # rows read_csv converts to floats at once
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +289,16 @@ class EmpiricalDistribution:
     A draw copies one of the set's atoms, chosen by its probability;
     draw_indices gives the atoms and draw their points from the same stream,
     so a risk region can classify all atoms at once and look up every draw.
+    A draw looks one uniform up in the cumulative weights, built once: that is
+    Generator.choice with p, less the checks on p that ScenarioSet has made.
     """
 
     scenarios: ScenarioSet
+
+    def __post_init__(self):
+        cdf = self.scenarios.probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def d(self) -> int:
@@ -301,7 +309,7 @@ class EmpiricalDistribution:
         return self.scenarios.mean()
 
     def draw_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.scenarios.n, size=n, p=self.scenarios.probs)
+        return self._cdf.searchsorted(rng.random(n), side="right")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scenarios.points[self.draw_indices(rng, n)]
@@ -382,9 +390,11 @@ def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
 
     Returns (header or None, (n, width) array). Blank lines are skipped. A
     ragged row or a non-numeric or non-finite field raises ConfigError naming
-    path:line, as does a file that cannot be opened or decoded.
+    path:line, as does a file that cannot be opened or decoded. Rows are
+    converted _CSV_BLOCK at a time, so only one block of strings is held.
     """
     path = Path(path)
+    blocks, block = [], []  # (line, row) pairs not yet converted
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -393,23 +403,43 @@ def read_csv(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
             if header and names is None:
                 raise ConfigError(f"{path}: empty file")
             width = None if names is None else len(names)
-            rows = []
-            for row in lines:  # convert as we go: string rows would cost a second copy
+            for row in lines:
                 width = width or len(row)
                 if len(row) != width:
+                    _float_block(path, block)  # a bad field on an earlier line comes first
                     raise ConfigError(f"{path}:{reader.line_num}: expected {width} fields, "
                                       f"got {len(row)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
-                if not all(map(math.isfinite, rows[-1])):
-                    raise ConfigError(f"{path}:{reader.line_num}: non-finite field")
+                block.append((reader.line_num, row))
+                if len(block) == _CSV_BLOCK:
+                    blocks.append(_float_block(path, block))
+                    block = []
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not rows:
+    if block:
+        blocks.append(_float_block(path, block))
+    if not blocks:
         raise ConfigError(f"{path}: no data rows")
-    return names, np.asarray(rows, dtype=float)
+    return names, np.concatenate(blocks)
+
+
+def _float_block(path, block: list) -> np.ndarray:
+    """(line, row) pairs as a float array; numpy parses each field with Python's
+    float. A block that fails is scanned row by row, so the error names path:line."""
+    try:
+        arr = np.array([row for _, row in block], dtype=float)
+        if np.isfinite(arr).all():
+            return arr
+    except ValueError:
+        pass
+    rows = []
+    for num, row in block:
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{num}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(f"{path}:{num}: non-finite field")
+    return np.array(rows)
 
 
 def atomic_write(path, text: str) -> None:

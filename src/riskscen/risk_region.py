@@ -159,12 +159,12 @@ class _RayArchive:
         bound), then w/||w|| of each projected point with ||w|| > 1e-6 ||v||;
       - nonrisk: non-risk points; when K is inside the orthant the loss
         -x'y is monotone in y, so a point >= one of them is non-risk.
-    On the generator route the NNLS builds p from the generators of K', on
-    the polar route it builds w from those of K'o. The other ray is kept
-    only if it lies in its cone to 1e-12 by the facets (rays of K') or the
-    generators (rays of K'o), far inside the 1e-9 margin classify_mask
-    leaves. So the archive is a cache: verdicts never change, and each
-    array stops growing at _ARCHIVE_CAP entries.
+    The NNLS builds p from generators of K' (or the base's vertices), or on
+    the polar route w from those of K'o. The other ray is kept only if it
+    lies in its cone to 1e-12 by the facets (rays of K'), the generators or
+    the base's pricing, max over the base of w'P s (rays of K'o), far inside
+    the 1e-9 margin classify_mask leaves. So the archive is a cache: verdicts
+    never change, and each array stops growing at _ARCHIVE_CAP entries.
     """
 
     def __init__(self, image_cone: Cone):
@@ -172,6 +172,7 @@ class _RayArchive:
         F, G = image_cone.facets, image_cone.generators
         self.kray_test = F  # K' = {x : F x >= 0}
         self.polar_test = None if G is None else -G  # K'o = {w : -G w >= 0}
+        self.base = image_cone.base if G is None else None  # K'o = {w : max w'P s <= 0}
         self.kray = np.empty((0, d)) if G is None else G
         F = np.empty((0, d)) if F is None else F
         self.polar = -F / np.linalg.norm(F, axis=1)[:, None]
@@ -188,6 +189,8 @@ class _RayArchive:
         wnorm = np.linalg.norm(W, axis=1)
         keep = wnorm > 1e-6 * np.linalg.norm(V, axis=1)
         W = W[keep] / wnorm[keep, None]
+        if self.base is not None:
+            W = W[np.einsum("ij,ij->i", W, self.base.price(W)) <= 1e-12]
         self.polar = _append(self.polar, W[_unit_rows_in(W, self.polar_test)])
         if dominance:
             self.nonrisk = _append(self.nonrisk, Y[~risk])

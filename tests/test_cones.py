@@ -17,7 +17,7 @@ from riskscen.cones import (Cone, ConeProjector, FeasibleRegion, cone_member, co
 from riskscen.distributions import fit_from_returns
 from riskscen.errors import ConfigError, SolverError
 from riskscen.synthetic import synthetic_returns
-from shapes import SHAPES, SHAPES_D50, sector_pair_region
+from shapes import SHAPES, SHAPES_D50, ghost_box_region, quota_region, sector_pair_region
 
 
 def orthant(d, form="both"):
@@ -255,6 +255,76 @@ class TestBatchedProjector:
         W[2, 1] = np.nan
         with pytest.raises(ConfigError):
             ConeProjector(orthant(3)).project(W)
+
+
+class TestVertexRoute:
+    """Budget-and-box hulls project through the vertex columns of their base;
+    the polar route (prefer="facets") is the reference."""
+
+    @pytest.mark.parametrize("d", [10, 12, 20, pytest.param(50, marks=pytest.mark.slow)])
+    def test_matches_polar_route(self, d):
+        """2000 t(4) draws under a quota cap and a ghost box. Budget 60 s at
+        d = 50; about 6 s on a 2-core host, nearly all of it the polar route."""
+        t0 = time.perf_counter()
+        for region in (quota_region(0.95, d), ghost_box_region(0.99, d, 0.35 if d < 50 else 0.1)):
+            cone = region.image_cone
+            vertex = ConeProjector(cone)
+            assert vertex.base is not None and vertex.G is None
+            V = -region.spherical_coords(region.dist.draw(np.random.default_rng(d), 2000))
+            mine = np.vstack([vertex.project(V[s : s + 128]) for s in range(0, 2000, 128)])
+            ref = ConeProjector(cone, prefer="facets").project(V)
+            assert np.all(np.abs(mine - ref).max(axis=1) <= 1e-12 * np.linalg.norm(V, axis=1))
+            assert np.abs(vertex.project(V[0]) - ref[0]).max() <= 1e-12 * np.linalg.norm(V[0])
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"overran its 60 s budget: {elapsed:.1f}s"
+
+    def test_hand_example_and_zero(self):
+        cone = conic_hull(FeasibleRegion(3, 1.0, upper=[0.5, 0.5, 0.5]))
+        projector = ConeProjector(cone)
+        assert projector.base is not None
+        assert np.allclose(projector.project([1.0, 0.0, 0.0]), [2 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        assert np.array_equal(projector.project(np.zeros((2, 3))), np.zeros((2, 3)))
+        assert np.array_equal(projector.project([-1.0, -2.0, 0.0]), np.zeros(3))
+
+    def test_certificate_fails_on_a_wrong_box(self, monkeypatch):
+        """The loop prices over a narrower box than the cone's; the certificate,
+        priced over the right box, rejects the result."""
+        cone = conic_hull(FeasibleRegion(3, 1.0, upper=[0.5, 0.5, 0.5]))
+        right = cone.base
+        wrong = right._replace(upper=np.full(3, 0.4))
+        calls = []
+        price = cones.Base.price
+
+        def recording(base, R):
+            calls.append(len(R))
+            return price(wrong, R)
+
+        monkeypatch.setattr(cones.Base, "price", recording)
+        x = np.array([[1.0, 0.0, 0.0], [0.2, 0.9, 0.1]])
+        ConeProjector(cone).project(x)  # self-consistent on the wrong box: certifies
+        loop_calls = len(calls) - 1  # the last call is the certificate's
+
+        def wrong_then_right(base, R):
+            calls.append(len(R))
+            return price(wrong if len(calls) <= loop_calls else right, R)
+
+        calls.clear()
+        monkeypatch.setattr(cones.Base, "price", wrong_then_right)
+        with pytest.raises(SolverError, match="certificate"):
+            ConeProjector(cone).project(x)
+
+    def test_routes_follow_the_cone(self):
+        orth = ConeProjector(conic_hull(FeasibleRegion(4, 1.0)))
+        assert orth.base is None and not orth.via_polar and orth.G.shape == (4, 4)
+        gens = ConeProjector(Cone(2, generators=[[1.0, 0.5], [0.0, 1.0]]))
+        assert gens.base is None and not gens.via_polar
+        rows = ConeProjector(sector_pair_region(6).image_cone)
+        assert rows.base is None and rows.via_polar
+        quota = conic_hull(FeasibleRegion(4, 1.0, upper=0.3))
+        assert ConeProjector(quota).base is not None
+        assert ConeProjector(Cone.from_json(quota.to_json())).via_polar  # a bare cone document
+        forced = ConeProjector(quota, prefer="facets")
+        assert forced.base is None and forced.via_polar
 
 
 class TestProjectPolytope:

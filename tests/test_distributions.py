@@ -323,6 +323,23 @@ class TestScenarioIO:
         with pytest.raises(ConfigError, match=":4: expected 2 fields, got 1"):
             read_csv(path)
 
+    @pytest.mark.parametrize("bad, message", [("oops", "could not convert"),
+                                              ("inf", "non-finite field")])
+    def test_bad_field_past_the_first_block_reports_line(self, tmp_path, bad, message):
+        """read_csv converts rows in blocks; a bad field in a later block still
+        names its own line, and comes before a ragged row after it."""
+        path = tmp_path / "bad.csv"
+        rows = [f"{1 / 600},{i}.5" for i in range(600)]
+        rows[400] = f"{1 / 600},{bad}"
+        rows[450] = "0.1"
+        path.write_text("prob,y1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=rf"bad\.csv:402: .*{message}"):
+            load_scenarios(path)
+        rows[400] = f"{1 / 600},400.5"
+        path.write_text("prob,y1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv:452: expected 2 fields, got 1"):
+            load_scenarios(path)
+
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("prob,y\u00e9\n1.0,2.0\n".encode("latin-1"))
@@ -347,3 +364,26 @@ class TestEmpirical:
         idx = emp.draw_indices(by_index, 700)
         assert np.array_equal(pts, scen.points[idx])
         assert by_points.random() == by_index.random()  # same stream position after
+
+    @pytest.mark.parametrize("weights", ["uniform", "zeros", "aggregated"])
+    def test_draw_indices_equal_generator_choice(self, weights):
+        """draw_indices looks one uniform per draw up in the cached CDF, which is
+        Generator.choice's own path for p; a numpy that changes choice fails
+        here instead of moving outputs."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        if weights == "uniform":
+            probs = np.full(n, 1.0 / n)
+        elif weights == "zeros":
+            probs = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+            probs[-1] = 0.0
+            probs /= probs.sum()
+        else:  # an aggregated set: a few risk atoms, then the collapsed rest
+            probs = np.append(np.full(150, 0.01 / 150), 0.99)
+        emp = EmpiricalDistribution(ScenarioSet(rng.normal(size=(probs.size, 2)), probs))
+        for size in (0, 1, 512, 4096):
+            mine, theirs = np.random.default_rng(size), np.random.default_rng(size)
+            idx = emp.draw_indices(mine, size)
+            assert np.array_equal(idx, theirs.choice(probs.size, size=size, p=probs))
+            assert probs[idx].min(initial=1.0) > 0.0
+            assert mine.random() == theirs.random()

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import cone_direction_grid, directional_risk_scores, project_polyhedral_nnls_oracle
 from riskscen import risk_region
-from riskscen.cones import Cone, FeasibleRegion, conic_hull, project_polyhedral
+from riskscen.cones import Cone, ConeProjector, FeasibleRegion, conic_hull, project_polyhedral
 from riskscen.distributions import (EllipticalDistribution, EmpiricalDistribution, ScenarioSet,
                                     spherical_quantile)
 from riskscen.errors import ConfigError
@@ -133,6 +133,37 @@ class TestDominanceArchive:
         # every point left to project was archived by the first call and dominates itself
         assert np.array_equal(classify_mask(region, Y), first)
         assert calls == []
+
+
+class TestVertexRouteVerdicts:
+    @pytest.mark.parametrize("shape", sorted(SHAPES) + [
+        pytest.param(name, marks=pytest.mark.slow) for name in sorted(SHAPES_D50)])
+    def test_unscreened_mask_equals_the_polar_route(self, shape):
+        """Quota caps and ghost boxes project through the vertices of their
+        base; their verdicts equal the polar route's. Budget 60 s at d = 50;
+        about 9 s on a 2-core host, nearly all of it the polar route."""
+        t0 = time.perf_counter()
+        region = {**SHAPES, **SHAPES_D50}[shape]()
+        assert region._projector.base is not None
+        Y = region.dist.draw(np.random.default_rng(6), 3000)
+        mask = classify_mask(region, Y, use_shortcuts=False)
+        object.__setattr__(region, "_projector", ConeProjector(region.image_cone, prefer="facets"))
+        assert 0 < mask.sum() < mask.size
+        assert np.array_equal(mask, classify_mask(region, Y, use_shortcuts=False))
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"overran its 60 s budget: {elapsed:.1f}s"
+
+    def test_archive_keeps_only_polar_rays_the_oracle_certifies(self):
+        region = ghost_box_region(0.99)
+        archive = region._archive
+        start = archive.polar.shape[0]
+        x = np.full(region.d, 1.0 / region.d)  # a feasible portfolio, so P x lies in K'
+        inside = region.dist.factor @ x
+        polar = -region.image_cone.facets[0]  # a generator of K'o
+        V = np.vstack([inside, polar, polar + 1e-3 * inside])
+        archive.add(np.zeros_like(V), V, np.zeros_like(V), np.zeros(3, dtype=bool), False)
+        assert archive.polar.shape[0] == start + 1
+        assert np.allclose(archive.polar[-1], polar / np.linalg.norm(polar))
 
 
 class TestRayBounds:
