@@ -2,16 +2,20 @@
 
 A cone carries a generator form {G' lam : lam >= 0} (generators are rows of
 G), a polyhedral form {x : B x >= 0}, or both; a conic hull of a budget and
-box Q keeps Q as its base. ConeProjector runs Lawson-Hanson NNLS over the
-generators; else over the vertices of a base, entering the one a fractional
-knapsack prices (Base.price); else over the polar cone's generators (the
-negated facets) and takes the Moreau decomposition x = p_K(x) + p_polar(x).
-Projection onto a polytope is a least-distance program, solved by NNLS too.
+box Q keeps Q as its base. Every projection runs one Lawson-Hanson NNLS
+kernel over the vertex columns P s of a base Q, entering the vertex that a
+fractional knapsack prices best (Base.vertex), with one KKT certificate.
+ConeProjector only picks the base: the unit simplex under the generators
+(its vertices e_j give the columns G_j), else the cone's own base, else the
+unit simplex under the polar cone's generators (the negated facets), taking
+the Moreau decomposition x = p_K(x) + p_polar(x). nnls over explicit
+columns, and so projection onto a polytope (a least-distance program), runs
+the kernel over the unit simplex under its matrix.
 
-The NNLS is batched over right-hand sides: a stack of points shares one
-matrix, and their active-set steps run in lockstep, so ConeProjector.project
-projects a stack (N, d) in about as many numpy calls as one point. Every row's
-result carries its own KKT certificate.
+The kernel is batched over right-hand sides: a stack of points shares one
+base, and their active-set steps run in lockstep, so ConeProjector.project
+projects a stack (N, d) in about as many numpy calls as one point. Every
+row's result carries its own certificate, priced over every vertex.
 """
 
 from __future__ import annotations
@@ -131,22 +135,27 @@ def _clean_generators(G: np.ndarray) -> np.ndarray:
 
 
 class Base(NamedTuple):
-    """Q = {s : 1's = capital, lower <= s <= upper}, a base of the cone cone{P s : s in Q}."""
+    """Q = {s : 1's = capital, lower <= s <= upper}, a base of the cone cone{P s : s in Q}.
+
+    The cone is generated by the vertex columns P s, which the NNLS kernel
+    enters through vertex(). The unit simplex (lower 0, upper 1, capital 1)
+    under a matrix A has the vertices e_j, so its columns are those of A.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
     capital: float
     P: np.ndarray
 
-    def price(self, R: np.ndarray) -> np.ndarray:
-        """For each row r of R, the column P s of a vertex s of Q maximizing r'P s:
-        from s = lower, the budget left fills coordinates by descending P'r."""
+    def vertex(self, R: np.ndarray) -> np.ndarray:
+        """For each row r of R, a vertex s of Q maximizing r'P s: from s = lower,
+        the budget left fills coordinates by descending P'r (a fractional knapsack)."""
         order = np.argsort(-(R @ self.P), axis=1)
         width = (self.upper - self.lower)[order]
         fill = np.clip(self.capital - self.lower.sum() - (width.cumsum(axis=1) - width), 0, width)
         S = np.empty_like(fill)
-        np.put_along_axis(S, order, fill, axis=1)
-        return (S + self.lower) @ self.P.T
+        S[np.arange(len(S))[:, None], order] = fill
+        return S + self.lower
 
 
 @dataclass(frozen=True)
@@ -251,52 +260,78 @@ def nnls(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """argmin ||A lam - b|| subject to lam >= 0 (Lawson & Hanson 1974, ch. 23).
 
     B is one right-hand side b (m,) or a stack of them (N, m); the result
-    is lam (n,) or one row of lam per row of B (N, n). Active-set method,
-    run for all rows in lockstep, each with its own passive set: the column
-    with the largest positive dual w = A'(b - A lam) joins the passive set,
-    least squares is solved on the passive columns, and the step is cut
-    back whenever a passive coefficient would turn nonpositive. A column
-    whose own coefficient comes out nonpositive on entry (roundoff) is
-    skipped until lam next moves. Results are only returned once every
-    row's KKT residuals certify it: lam >= 0, w <= tol * |A| |b| and
-    |lam'w| <= tol * |b|^2; otherwise SolverError.
+    is lam (n,) or one row of lam per row of B (N, n). The kernel runs over
+    the unit simplex under A, with the largest column norm of A as its
+    scale. Each of its slots holds an exact copy of a column of A, so its
+    weight goes to the first such column, and slots that hold one column add up.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    single = B.ndim == 1
-    B = np.atleast_2d(B)
+    weights, C = _lawson_hanson(*_simplex(A), np.atleast_2d(B))
+    hit = (C[:, :, None, :] == A.T).all(axis=3)  # slot k holds an exact copy of A_j
+    lam = np.einsum("np,npj->nj", weights, hit & (hit.cumsum(axis=2) == 1))
+    return lam[0] if B.ndim == 1 else lam
+
+
+def _simplex(A: np.ndarray) -> tuple[Base, float]:
+    """The unit simplex under A, a base of cone{A_j}, and max_j |A_j|."""
     n = A.shape[1]
-    Q = A.T @ A
-    AtB = B @ A
+    return Base(np.zeros(n), np.ones(n), 1.0, A), float(np.linalg.norm(A, axis=0).max(initial=0.0))
+
+
+def _lawson_hanson(base: Base, colmax: float, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot weights lam (N, p) and columns C (N, p, m): sum_k lam_k C_k is the
+    nearest point of cone{P s : s in Q}, Q = base, to each row b of B (N, m).
+
+    Lawson-Hanson NNLS over the vertex columns P s of Q, generated as needed
+    (Von Hohenbalken 1977): each row enters the column base.vertex prices
+    best from its residual r, least squares is solved on its passive columns,
+    and the step is cut back whenever a passive coefficient would turn
+    nonpositive. All rows run in lockstep; their passive columns sit in an
+    (N, p, m) stack, p the largest passive count yet. A row stops when its
+    priced dual is <= tol * |b| colmax (colmax bounds every |P s|), its priced
+    column is already passive, or it enters at a coefficient <= 0, and all
+    stop after 3 (n + m) steps, n the coordinates of Q. The pricing is exact
+    over every vertex, so every row's KKT residuals certify it, with the
+    oracle called afresh: lam >= 0, max_s r'P s <= tol * |b| colmax and
+    |lam'C r| <= tol * |b|^2; otherwise SolverError.
+    """
+    N, m = B.shape
+    n = base.P.shape[1]
     bnorm = np.linalg.norm(B, axis=1)
-    scale = bnorm * float(np.linalg.norm(A, axis=0).max(initial=0.0))
-    enter = NNLS_ENTER_TOL * scale[:, None]
-    lam = np.zeros((B.shape[0], n))
-    passive = np.zeros(lam.shape, dtype=bool)
-    skipped = np.zeros(lam.shape, dtype=bool)
-    w = AtB.copy()
-    for _ in range(3 * n):
-        free = (w > enter) & ~(passive | skipped)
-        rows = np.flatnonzero(free.any(axis=1))
+    scale = bnorm * colmax
+    ridge = _EPS * colmax * colmax
+    C, lam = np.zeros((N, 0, m)), np.zeros((N, 0))  # a column slot is passive while lam > 0
+    R, rows = B.copy(), np.arange(N)  # residuals, rows still iterating
+    for _ in range(3 * (n + m)):
+        Rr, passive = R[rows], lam[rows] > 0.0
+        c = base.vertex(Rr) @ base.P.T
+        known = ((C[rows] == c[:, None, :]).all(axis=2) & passive).any(axis=1)
+        go = (np.einsum("ij,ij->i", Rr, c) > NNLS_ENTER_TOL * scale[rows]) & ~known
+        rows, c, passive = rows[go], c[go], passive[go]
         if not rows.size:
             break
-        j = np.argmax(np.where(free[rows], w[rows], -np.inf), axis=1)
-        passive[rows, j] = True
-        s = _passive_solve(Q, A, B[rows], AtB[rows], passive[rows])
-        bad = s[np.arange(rows.size), j] <= 0.0
-        if bad.any():
-            passive[rows[bad], j[bad]] = False
-            skipped[rows[bad], j[bad]] = True
-            rows, s = rows[~bad], s[~bad]
-        pas = passive[rows]
-        _step_back(lam[rows], s, pas,
-                   lambda i, p: _passive_solve(Q, A, B[rows[i]], AtB[rows[i]], p))
-        passive[rows] = pas
-        lam[rows] = s
-        w[rows] = (B[rows] - s @ A.T) @ A
-        skipped[rows] = False
-    _certify("NNLS", lam, w.max(axis=1, initial=0.0), np.einsum("ij,ij->i", lam, w), scale, bnorm)
-    return lam[0] if single else lam
+        if passive.all(axis=1).any():  # some row has no free slot
+            C = np.concatenate([C, np.zeros((N, 1, m))], axis=1)
+            lam = np.concatenate([lam, np.zeros((N, 1))], axis=1)
+            passive = lam[rows] > 0.0
+        j = np.argmin(passive, axis=1)
+        C[rows, j] = c
+        passive[np.arange(rows.size), j] = True
+        x = _passive_solve(C[rows], B[rows], passive, ridge)
+        ok = x[np.arange(rows.size), j] > 0.0
+        rows, x, passive = rows[ok], x[ok], passive[ok]
+        _step_back(lam[rows], x, passive,
+                   lambda i, p: _passive_solve(C[rows[i]], B[rows[i]], p, ridge))
+        lam[rows] = x
+        R[rows] = B[rows] - np.einsum("kp,kpm->km", x, C[rows])
+    failed = ((lam.min(axis=1, initial=0.0) < 0.0)
+              | (np.einsum("ij,ij->i", R, base.vertex(R) @ base.P.T) > NNLS_CERT_TOL * scale)
+              | (np.abs(np.einsum("np,npm,nm->n", lam, C, R)) > NNLS_CERT_TOL * bnorm * bnorm))
+    if failed.any():
+        raise SolverError(f"NNLS result failed its KKT certificate "
+                          f"({int(failed.sum())} of {N} rows)")
+    return lam, C
 
 
 def _step_back(lam, s, passive, solve):
@@ -320,63 +355,44 @@ def _step_back(lam, s, passive, solve):
         s[back] = solve(back, passive[back])
 
 
-def _certify(what, lam, wmax, slack, scale, bnorm):
-    """SolverError unless every row has lam >= 0, wmax <= tol * scale and |slack| <= tol |b|^2."""
-    failed = ((lam.min(axis=1, initial=0.0) < 0.0) | (wmax > NNLS_CERT_TOL * scale)
-              | (np.abs(slack) > NNLS_CERT_TOL * bnorm * bnorm))
-    if failed.any():
-        raise SolverError(f"{what} result failed its KKT certificate "
-                          f"({int(failed.sum())} of {lam.shape[0]} rows)")
+def _passive_solve(C, B, passive, ridge):
+    """Least squares of each row of B on its passive columns in C (k, p, m), zero elsewhere.
 
-
-def _passive_solve(Q, A, B, AtB, passive):
-    """Least squares on each row's passive columns, zero elsewhere.
-
-    Each row's passive columns are gathered to the front of a p x p system
-    (p the largest passive count; shorter rows are padded with identity
-    rows), all rows are solved in one batch through the Gram matrix A'A, and
-    one refinement step on the residual (B - S A')A recovers most of the
-    accuracy the normal equations lose. A ridge of eps * max_j |A_j|^2 on
-    the passive diagonal keeps exactly dependent passive columns solvable.
-    Its only measured consumer is project_polytope: an equality written as
-    an opposing row pair gives its least-distance program two columns that
-    are exact negatives, and near a degenerate vertex both can enter (a
-    cone's polar route with such a pair certifies without the ridge). After
-    the refinement step the ridge moves a well-conditioned solution by
-    O((ridge / lambda_min)^2).
+    The normal equations, with identity rows for the other slots, are solved
+    in one batch, and one refinement step on the residual recovers most of
+    the accuracy they lose. A ridge on the passive diagonal keeps exactly
+    dependent passive columns solvable. Its only measured consumer is
+    project_polytope: an equality written as an opposing row pair gives its
+    least-distance program two columns that are exact negatives, and near a
+    degenerate vertex both can enter (a cone's polar route with such a pair
+    certifies without the ridge). After the refinement step the ridge moves
+    a well-conditioned solution by O((ridge / lambda_min)^2).
     """
-    count = passive.sum(axis=1)
-    p = int(count.max(initial=0))
-    cols = np.argsort(~passive, axis=1, kind="stable")[:, :p]
-    valid = np.arange(p) < count[:, None]
-    rows = np.arange(passive.shape[0])[:, None]
-    both = valid[:, :, None] & valid[:, None, :]
-    M = np.where(both, Q[cols[:, :, None], cols[:, None, :]], np.eye(p))
-    M[:, np.arange(p), np.arange(p)] += _EPS * np.diagonal(Q).max(initial=0.0) * valid
-    S = np.zeros(passive.shape)
+    C = C * passive[..., None]  # other slots: zero columns, identity rows of M
+    M = C @ C.transpose(0, 2, 1) + np.where(passive, ridge, 1.0)[:, None, :] * np.eye(C.shape[1])
     try:
-        s = np.linalg.solve(M, (AtB[rows, cols] * valid)[..., None])[..., 0]
-        S[rows, cols] = s
-        s += np.linalg.solve(M, (((B - S @ A.T) @ A)[rows, cols] * valid)[..., None])[..., 0]
+        x = np.linalg.solve(M, np.einsum("kpm,km->kp", C, B)[..., None])[..., 0]
+        res = B - np.einsum("kp,kpm->km", x, C)
+        x += np.linalg.solve(M, np.einsum("kpm,km->kp", C, res)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"NNLS passive system is singular: {exc}") from exc
-    S[rows, cols] = s
-    return S
+    return x
 
 
 class ConeProjector:
     """Reusable projection engine for one cone.
 
-    The route follows the cone: its generators G, else its base's vertices
-    (_nnls_vertices), else the polar's generators G, the negated facet rows;
-    prefer="generators" or "facets" forces a G route. G is built once; the
-    nearest point of cone{rows of G} to x0 is G' nnls(G', x0), batched.
+    The route picks the base the NNLS kernel runs over: the unit simplex
+    under the cone's generators G' (its vertex columns are the generators),
+    else the cone's own base, else the unit simplex under the polar's
+    generators, the negated facet rows, whence x0 - p_polar(x0) by the Moreau
+    decomposition. prefer="generators" or "facets" forces a simplex route.
     """
 
     def __init__(self, cone: Cone, prefer: str | None = None):
-        self.via_polar, self.G = False, None
-        self.base = cone.base if prefer is None and cone.generators is None else None
-        if self.base is not None:  # every column P s has |P s| <= |P| |s|_1 = |P| capital
+        self.via_polar = False
+        if prefer is None and cone.generators is None and cone.base is not None:
+            self.base = cone.base  # every column P s has |P s| <= |P| |s|_1 = |P| capital
             self.colmax = np.linalg.norm(self.base.P, 2) * self.base.capital
             return
         if prefer is None:
@@ -384,75 +400,22 @@ class ConeProjector:
         if prefer == "generators":
             if cone.generators is None:
                 raise ConfigError("cone has no generator form")
-            self.G = cone.generators
+            G = cone.generators
         else:
             if cone.facets is None:
                 raise ConfigError("cone has no facet form")
             self.via_polar = True
-            self.G = _clean_generators(-cone.facets)
+            G = _clean_generators(-cone.facets)
+        self.base, self.colmax = _simplex(G.T)
 
     def project(self, x0) -> np.ndarray:
         """Nearest cone point to one point (d,), or to each row of a stack (N, d)."""
         x0 = np.asarray(x0, dtype=float)
         if not np.all(np.isfinite(x0)):
             raise ConfigError("cannot project a non-finite point")
-        if self.base is not None:
-            return _nnls_vertices(self.base, self.colmax, np.atleast_2d(x0)).reshape(x0.shape)
-        p = nnls(self.G.T, x0) @ self.G
-        return x0 - p if self.via_polar else p
-
-
-def _nnls_vertices(base: Base, colmax: float, B: np.ndarray) -> np.ndarray:
-    """Projection of each row b of B onto cone{P s : s a vertex of the base Q}.
-
-    nnls in lockstep, each row's entering column priced by base.price from its
-    residual (column generation); passive columns sit in an (N, p, d) stack, p
-    the largest passive count yet. A row stops when its priced dual is <= tol
-    * |b| colmax (colmax bounds every |P s|), its priced vertex is passive, or
-    it enters at a coefficient <= 0. The pricing is exact over every vertex,
-    so every row gets nnls's full KKT certificate.
-    """
-    N, d = B.shape
-    bnorm = np.linalg.norm(B, axis=1)
-    scale = bnorm * colmax
-    C, lam = np.zeros((N, 0, d)), np.zeros((N, 0))  # a column slot is passive while lam > 0
-    R, rows = B.copy(), np.arange(N)  # residuals, rows still iterating
-    for _ in range(6 * d):
-        c = base.price(R[rows])
-        known = ((C[rows] == c[:, None, :]).all(axis=2) & (lam[rows] > 0.0)).any(axis=1)
-        go = (np.einsum("ij,ij->i", R[rows], c) > NNLS_ENTER_TOL * scale[rows]) & ~known
-        rows, c = rows[go], c[go]
-        if not rows.size:
-            break
-        if (lam[rows] > 0.0).all(axis=1).any():  # some row has no free slot
-            C = np.concatenate([C, np.zeros((N, 1, d))], axis=1)
-            lam = np.concatenate([lam, np.zeros((N, 1))], axis=1)
-        j = np.argmin(lam[rows] > 0.0, axis=1)
-        C[rows, j] = c
-        passive = lam[rows] > 0.0
-        passive[np.arange(rows.size), j] = True
-        s = _vertex_solve(C[rows], B[rows], passive)
-        ok = s[np.arange(rows.size), j] > 0.0
-        rows, s, passive = rows[ok], s[ok], passive[ok]
-        _step_back(lam[rows], s, passive, lambda i, p: _vertex_solve(C[rows[i]], B[rows[i]], p))
-        lam[rows] = s
-        R[rows] = B[rows] - np.einsum("kp,kpd->kd", s, C[rows])
-    _certify("vertex-column NNLS", lam, np.einsum("ij,ij->i", R, base.price(R)),
-             np.einsum("np,npd,nd->n", lam, C, R), scale, bnorm)
-    return np.einsum("np,npd->nd", lam, C)
-
-
-def _vertex_solve(C, B, passive):
-    """Each row of B on its passive columns in C (k, p, d), as in _passive_solve."""
-    C = C * passive[..., None]  # other slots: zero columns, identity rows of M
-    M = C @ C.transpose(0, 2, 1) + np.eye(C.shape[1]) * ~passive[:, None, :]
-    try:
-        s = np.linalg.solve(M, np.einsum("kpd,kd->kp", C, B)[..., None])[..., 0]
-        res = B - np.einsum("kp,kpd->kd", s, C)
-        s += np.linalg.solve(M, np.einsum("kpd,kd->kp", C, res)[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"NNLS passive system is singular: {exc}") from exc
-    return s
+        X = np.atleast_2d(x0)
+        p = np.einsum("np,npd->nd", *_lawson_hanson(self.base, self.colmax, X))
+        return (X - p if self.via_polar else p).reshape(x0.shape)
 
 
 def project_generators(cone: Cone, x0) -> np.ndarray:

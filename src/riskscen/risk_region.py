@@ -190,7 +190,7 @@ class _RayArchive:
         keep = wnorm > 1e-6 * np.linalg.norm(V, axis=1)
         W = W[keep] / wnorm[keep, None]
         if self.base is not None:
-            W = W[np.einsum("ij,ij->i", W, self.base.price(W)) <= 1e-12]
+            W = W[np.einsum("ij,ij->i", W @ self.base.P, self.base.vertex(W)) <= 1e-12]
         self.polar = _append(self.polar, W[_unit_rows_in(W, self.polar_test)])
         if dominance:
             self.nonrisk = _append(self.nonrisk, Y[~risk])

@@ -163,15 +163,21 @@ class TestProjection:
 
 class TestNnls:
     def test_matches_scipy_nnls(self):
-        rng = np.random.default_rng(11)
+        """Each A also as extra inputs with one column repeated, and with one
+        column zeroed, whose coefficient must be 0."""
+        rng, pick = np.random.default_rng(11), np.random.default_rng(12)
         for _ in range(60):
             m, n = int(rng.integers(2, 9)), int(rng.integers(1, 25))
             A = rng.normal(size=(m, n))
             b = rng.normal(size=m) * 3
-            lam = nnls(A, b)
-            assert lam.min() >= 0.0
-            ref = scipy_nnls(A, b)[0]
-            assert np.linalg.norm(A @ lam - b) <= np.linalg.norm(A @ ref - b) + 1e-10
+            zeroed = A.copy()
+            zeroed[:, int(pick.integers(n))] = 0.0
+            for A in (A, np.column_stack([A, A[:, int(pick.integers(n))]]), zeroed):
+                lam = nnls(A, b)
+                assert lam.shape == (A.shape[1],) and lam.min() >= 0.0
+                assert np.all(lam[~A.any(axis=0)] == 0.0)
+                ref = scipy_nnls(A, b)[0]
+                assert np.linalg.norm(A @ lam - b) <= np.linalg.norm(A @ ref - b) + 1e-10
 
     def test_empty_column_set_and_zero_target(self):
         assert nnls(np.zeros((3, 0)), np.ones(3)).shape == (0,)
@@ -223,10 +229,19 @@ class TestNnls:
             assert abs(lam @ w) <= cones.NNLS_CERT_TOL * (b @ b)
 
 
+# the orthant hull (quota 1.0, criterion 09's first region) of the ghost-box fit
+ORTHANTS = {"orthant-d12-b0.99": lambda: ghost_box_region(0.99, 12, 1.0),
+            "orthant-d50-b0.99": lambda: ghost_box_region(0.99, 50, 1.0)}
+
+
 class TestBatchedProjector:
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES) + [
+        "orthant-d12-b0.99", pytest.param("orthant-d50-b0.99", marks=pytest.mark.slow)])
     def test_stack_matches_oracle_and_single_points(self, shape):
-        region = SHAPES[shape]()
+        """The orthant hulls project onto their generators. Budget 60 s;
+        about 1 s at d = 50 on a 2-core host."""
+        t0 = time.perf_counter()
+        region = {**SHAPES, **ORTHANTS}[shape]()
         W = -region.spherical_coords(region.dist.draw(np.random.default_rng(3), 1000))
         projector = ConeProjector(region.image_cone)
         batched = projector.project(W)
@@ -235,6 +250,8 @@ class TestBatchedProjector:
         assert np.abs(batched - oracle).max() < 1e-8
         single = np.array([projector.project(w) for w in W])
         assert np.abs(batched - single).max() < 1e-12
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 60, f"overran its 60 s budget: {elapsed:.1f}s"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("shape", sorted(SHAPES_D50))
@@ -269,7 +286,7 @@ class TestVertexRoute:
         for region in (quota_region(0.95, d), ghost_box_region(0.99, d, 0.35 if d < 50 else 0.1)):
             cone = region.image_cone
             vertex = ConeProjector(cone)
-            assert vertex.base is not None and vertex.G is None
+            assert vertex.base is cone.base
             V = -region.spherical_coords(region.dist.draw(np.random.default_rng(d), 2000))
             mine = np.vstack([vertex.project(V[s : s + 128]) for s in range(0, 2000, 128)])
             ref = ConeProjector(cone, prefer="facets").project(V)
@@ -293,38 +310,43 @@ class TestVertexRoute:
         right = cone.base
         wrong = right._replace(upper=np.full(3, 0.4))
         calls = []
-        price = cones.Base.price
+        vertex = cones.Base.vertex
 
         def recording(base, R):
             calls.append(len(R))
-            return price(wrong, R)
+            return vertex(wrong, R)
 
-        monkeypatch.setattr(cones.Base, "price", recording)
+        monkeypatch.setattr(cones.Base, "vertex", recording)
         x = np.array([[1.0, 0.0, 0.0], [0.2, 0.9, 0.1]])
         ConeProjector(cone).project(x)  # self-consistent on the wrong box: certifies
         loop_calls = len(calls) - 1  # the last call is the certificate's
 
         def wrong_then_right(base, R):
             calls.append(len(R))
-            return price(wrong if len(calls) <= loop_calls else right, R)
+            return vertex(wrong if len(calls) <= loop_calls else right, R)
 
         calls.clear()
-        monkeypatch.setattr(cones.Base, "price", wrong_then_right)
+        monkeypatch.setattr(cones.Base, "vertex", wrong_then_right)
         with pytest.raises(SolverError, match="certificate"):
             ConeProjector(cone).project(x)
 
     def test_routes_follow_the_cone(self):
-        orth = ConeProjector(conic_hull(FeasibleRegion(4, 1.0)))
-        assert orth.base is None and not orth.via_polar and orth.G.shape == (4, 4)
-        gens = ConeProjector(Cone(2, generators=[[1.0, 0.5], [0.0, 1.0]]))
-        assert gens.base is None and not gens.via_polar
-        rows = ConeProjector(sector_pair_region(6).image_cone)
-        assert rows.base is None and rows.via_polar
+        orth_cone = conic_hull(FeasibleRegion(4, 1.0))
+        orth = ConeProjector(orth_cone)
+        assert np.array_equal(orth.base.P, orth_cone.generators.T) and not orth.via_polar
+        gens_cone = Cone(2, generators=[[1.0, 0.5], [0.0, 1.0]])
+        gens = ConeProjector(gens_cone)
+        assert np.array_equal(gens.base.P, gens_cone.generators.T) and not gens.via_polar
+        rows_cone = sector_pair_region(6).image_cone
+        rows = ConeProjector(rows_cone)
+        assert np.array_equal(rows.base.P, cones._clean_generators(-rows_cone.facets).T)
+        assert rows.via_polar
         quota = conic_hull(FeasibleRegion(4, 1.0, upper=0.3))
-        assert ConeProjector(quota).base is not None
+        assert ConeProjector(quota).base is quota.base
         assert ConeProjector(Cone.from_json(quota.to_json())).via_polar  # a bare cone document
         forced = ConeProjector(quota, prefer="facets")
-        assert forced.base is None and forced.via_polar
+        assert np.array_equal(forced.base.P, cones._clean_generators(-quota.facets).T)
+        assert forced.via_polar
 
 
 class TestProjectPolytope:
@@ -353,7 +375,8 @@ class TestProjectPolytope:
         row pair, the box) plus the floor mu'x >= r. For some r within a
         relative 2e-6 of the vertex's return the NNLS passive set takes both
         budget columns, which are exact negatives of each other; without the
-        ridge in _passive_solve their Gram system is singular.
+        ridge on the kernel's passive diagonal (_passive_solve) their normal
+        equations are singular.
         """
         _, returns = synthetic_returns(d, 240, seed, family="student-t")
         dist = fit_from_returns(returns, "student-t", nu=4.0)
@@ -393,7 +416,7 @@ class TestOppositeColumns:
         agree with scipy's NNLS."""
         region = sector_pair_region(d)
         projector = region._projector
-        G = projector.G
+        G = projector.base.P.T
         pair = np.flatnonzero((G @ G.T < -1.0 + 1e-12).any(axis=1))
         assert projector.via_polar and pair.size == 2
         g = G[pair[0]]
